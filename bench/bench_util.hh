@@ -40,8 +40,8 @@ namespace rime::bench
  * Ordered writer for the machine-readable BENCH_*.json artifacts.
  * Every emitted object leads with the same provenance stamp -- the
  * bench name, the dispatched kernel ISA (scalar/avx2/neon), and the
- * RIME_SIMD / RIME_THREADS knob values -- so a result file always
- * records which code path and configuration produced it.
+ * RIME_SIMD knob value -- so a result file always records which code
+ * path produced it.
  */
 class BenchJson
 {
@@ -51,8 +51,6 @@ class BenchJson
         field("bench", bench);
         field("isa", rimehw::kernels::isaName());
         field("rime_simd", rimehw::kernels::envModeName());
-        field("rime_threads", static_cast<std::uint64_t>(
-            ThreadPool::configuredThreads()));
     }
 
     BenchJson &
@@ -152,7 +150,7 @@ benchScale()
  * Dump the process-wide stat registry (everything published by the
  * RimeLibrary instances this bench created) as JSON to RIME_STATS, or
  * to STATS_<bench>.json by default.  Wall-clock stats are excluded,
- * so the dump is bit-identical for any RIME_THREADS.
+ * so the dump is bit-identical for any RIME_SIMD.
  */
 inline void
 writeStatsJson(const std::string &bench)
@@ -250,12 +248,10 @@ sweepThreads()
 }
 
 /**
- * The pool running bench sweep configurations.  Deliberately separate
- * from ThreadPool::global(): sweep tasks themselves drive simulations
- * that may call into the global pool (the bit-level chips' scan
- * engine), and ThreadPool::run is not reentrant.  Two pools keep the
- * two levels of parallelism -- across configurations here, within one
- * chip scan there -- composable.
+ * The pool running bench sweep configurations: the only host-level
+ * parallelism in the simulator.  Each task builds and drives its own
+ * simulation serially; ThreadPool::run is not reentrant, so a task
+ * must not start a sweep of its own.
  */
 inline ThreadPool &
 sweepPool()

@@ -500,7 +500,6 @@ spawnServer(const char *bin, unsigned port,
         ::setenv("RIME_JOURNAL_DIR", journal_dir.c_str(), 1);
         ::setenv("RIME_RESUME_GRACE_MS", "30000", 1);
         ::setenv("RIME_JOURNAL_FSYNC", "1", 1);
-        ::setenv("RIME_THREADS", "1", 1);
         const std::string endpoint =
             "tcp:127.0.0.1:" + std::to_string(port);
         ::execl(bin, bin, endpoint.c_str(),
@@ -703,7 +702,6 @@ int
 main()
 {
     setVerbose(false);
-    ::setenv("RIME_THREADS", "1", 0); // deterministic single-core sim
     const double scale = benchScale();
 
     // Phase 1: scale-out sweep.

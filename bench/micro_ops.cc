@@ -7,13 +7,12 @@
  * the models fast enough for paper-scale sweeps.
  *
  * Before the registered benchmarks run, a self-timing pass measures
- * host wall-clock of the bit-level scan at a >=1M-key range: scalar
- * kernels vs SIMD kernels at one thread (the in-process RIME_SIMD
- * A/B), then serial vs parallel (RIME_THREADS / hardware width)
- * under the env-dispatched kernels.  Every variant must produce a
- * bit-identical extraction or the bench aborts; the measurements go
- * to the machine-readable BENCH_scan.json next to the binary.
- * RIME_BENCH_KEYS overrides the key count.
+ * host wall-clock of the serial bit-level scan over a key-count sweep
+ * (4K, 64K, 256K, 1M keys), scalar kernels vs SIMD kernels at every
+ * size (the in-process RIME_SIMD A/B).  Both kernel tables must
+ * produce a bit-identical extraction or the bench aborts; the
+ * measurements go to the machine-readable BENCH_scan.json next to
+ * the binary.  RIME_BENCH_KEYS caps the largest size.
  */
 
 #include <benchmark/benchmark.h>
@@ -22,12 +21,13 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.hh"
 #include "cachesim/hierarchy.hh"
 #include "common/env.hh"
 #include "common/logging.hh"
-#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "common/stat_registry.hh"
 #include "memsim/dram_system.hh"
@@ -165,35 +165,13 @@ BM_CacheHierarchyAccess(benchmark::State &state)
 }
 BENCHMARK(BM_CacheHierarchyAccess);
 
-void
-BM_BitLevelExtractParallel(benchmark::State &state)
-{
-    RimeChip chip(smallGeometry(), RimeTimingParams{},
-                  static_cast<unsigned>(state.range(0)));
-    chip.configure(32, KeyMode::UnsignedFixed);
-    Rng rng(3);
-    const std::uint64_t n = 4096;
-    for (std::uint64_t i = 0; i < n; ++i)
-        chip.writeValue(i, rng() & 0xFFFFFFFF);
-    chip.initRange(0, n);
-    for (auto _ : state) {
-        auto r = chip.extract(0, n, false);
-        if (!r.found) {
-            chip.initRange(0, n);
-        }
-        benchmark::DoNotOptimize(r);
-    }
-}
-BENCHMARK(BM_BitLevelExtractParallel)->Arg(2)->Arg(4);
-
 /**
- * Wall-clock self-timing of the bit-level scan -- scalar vs SIMD
- * kernels, then serial vs parallel -- at a paper-scale key count;
- * emits BENCH_scan.json.  The scan work performed (and therefore
- * the deterministic stat dump) is identical for every RIME_SIMD and
- * RIME_THREADS setting: both kernel modes are always timed (forced
- * via kernels::setMode), and only the env-dispatched mode's numbers
- * are reported under the legacy serial/parallel fields.
+ * Wall-clock self-timing of the serial bit-level scan, scalar vs SIMD
+ * kernels, at each key count of the sweep; emits BENCH_scan.json.
+ * Both kernel modes are always timed (forced via kernels::setMode),
+ * so the scan work performed -- and therefore the deterministic stat
+ * dump -- is identical for every RIME_SIMD setting.  The top-level
+ * scalar/SIMD fields report the largest size.
  */
 void
 runScanSelfTiming()
@@ -207,30 +185,39 @@ runScanSelfTiming()
         warn("RIME_BENCH_KEYS=0; using the default key count");
         keys = 1ULL << 20;
     }
-    const unsigned parallel_threads =
-        std::max(2u, ThreadPool::configuredThreads());
     const unsigned k = 32;
-    const int scans = 8;
 
-    RimeChip chip(RimeGeometry{}, RimeTimingParams{}, 1);
+    RimeChip chip;
     chip.configure(k, KeyMode::UnsignedFixed);
     if (keys > chip.valueCapacity())
         keys = chip.valueCapacity();
     Rng rng(42);
     for (std::uint64_t i = 0; i < keys; ++i)
         chip.writeValue(i, rng() & 0xFFFFFFFF);
-    chip.initRange(0, keys);
+
+    std::vector<std::uint64_t> sizes;
+    for (const std::uint64_t n : {1ULL << 12, 1ULL << 16, 1ULL << 18})
+        if (n < keys)
+            sizes.push_back(n);
+    sizes.push_back(keys);
 
     // scan() is pure, so repeated scans perform identical work; one
-    // untimed warm-up per variant populates lazily allocated state.
-    const auto timeScans = [&](ExtractResult &out) {
-        out = chip.scan(0, keys, false);
+    // untimed warm-up per batch populates lazily allocated state.
+    const auto timeScans = [&](kernels::Mode mode, std::uint64_t n,
+                               int scans, ExtractResult &out) {
+        kernels::setMode(mode);
+        out = chip.scan(0, n, false);
         const auto t0 = Clock::now();
         for (int i = 0; i < scans; ++i)
-            out = chip.scan(0, keys, false);
+            out = chip.scan(0, n, false);
         const auto t1 = Clock::now();
         return std::chrono::duration<double, std::milli>(
             t1 - t0).count() / scans;
+    };
+    constexpr int kRounds = 5;
+    const auto median = [](std::vector<double> v) {
+        std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+        return v[v.size() / 2];
     };
     const auto same = [](const ExtractResult &a,
                          const ExtractResult &b) {
@@ -239,60 +226,67 @@ runScanSelfTiming()
             a.time == b.time;
     };
 
-    // The in-process RIME_SIMD A/B: force each kernel mode in turn.
     // On a host without SIMD kernels both passes run scalar and the
     // speedup reports ~1.
-    ExtractResult scalar_r, simd_r, parallel_r;
-    kernels::setMode(kernels::Mode::Scalar);
-    const double scalar_ms = timeScans(scalar_r);
-    kernels::setMode(kernels::Mode::Simd);
-    const double simd_ms = timeScans(simd_r);
-    if (!same(scalar_r, simd_r))
-        fatal("SIMD scan diverged from the scalar reference scan");
-
-    // Serial vs parallel under the env-dispatched kernels.
+    std::string sweep = "[";
+    ExtractResult scalar_r, simd_r;
+    double scalar_ms = 0.0, simd_ms = 0.0, speedup = 0.0;
+    int scans = 0;
+    for (const std::uint64_t n : sizes) {
+        // Smaller ranges repeat more so every batch times ~8M
+        // key-scans.  The two modes alternate batches over several
+        // rounds and each reports its median batch, so host drift
+        // during the sweep hits both alike.
+        scans = static_cast<int>(
+            std::max<std::uint64_t>(8, (1ULL << 23) / n));
+        chip.initRange(0, n);
+        std::vector<double> scalar_batches, simd_batches;
+        for (int r = 0; r < kRounds; ++r) {
+            scalar_batches.push_back(
+                timeScans(kernels::Mode::Scalar, n, scans, scalar_r));
+            simd_batches.push_back(
+                timeScans(kernels::Mode::Simd, n, scans, simd_r));
+        }
+        scalar_ms = median(scalar_batches);
+        simd_ms = median(simd_batches);
+        if (!same(scalar_r, simd_r))
+            fatal("SIMD scan diverged from the scalar reference scan "
+                  "at %llu keys", static_cast<unsigned long long>(n));
+        speedup = simd_ms > 0.0 ? scalar_ms / simd_ms : 0.0;
+        std::printf("scan self-timing: %8llu keys, k=%u: host %.4f ms "
+                    "scalar vs %.4f ms %s (%.2fx)\n",
+                    static_cast<unsigned long long>(n), k, scalar_ms,
+                    simd_ms, kernels::availableIsaName(), speedup);
+        char point[160];
+        std::snprintf(point, sizeof(point),
+                      "%s{\"keys\": %llu, \"scalar_ms\": %g, "
+                      "\"simd_ms\": %g, \"simd_speedup\": %g}",
+                      sweep.size() > 1 ? ", " : "",
+                      static_cast<unsigned long long>(n), scalar_ms,
+                      simd_ms, speedup);
+        sweep += point;
+    }
+    sweep += "]";
     kernels::setMode(kernels::envMode());
-    const double serial_ms =
-        kernels::simdEnabled() ? simd_ms : scalar_ms;
-    chip.setHostThreads(parallel_threads);
-    const double parallel_ms = timeScans(parallel_r);
-    if (!same(scalar_r, parallel_r))
-        fatal("parallel scan diverged from the serial scan");
 
     const double simulated_ns = ticksToNs(scalar_r.time);
-    const double simd_speedup =
-        simd_ms > 0.0 ? scalar_ms / simd_ms : 0.0;
-
-    std::printf("scan self-timing: %llu keys, k=%u: host %.3f ms "
-                "scalar vs %.3f ms %s (%.2fx); %.3f ms serial vs "
-                "%.3f ms at %u threads (%.2fx); simulated %.1f "
-                "ns/scan\n",
-                static_cast<unsigned long long>(keys), k, scalar_ms,
-                simd_ms, kernels::availableIsaName(), simd_speedup,
-                serial_ms, parallel_ms, parallel_threads,
-                serial_ms / parallel_ms, simulated_ns);
-
     bench::BenchJson json("scan");
     json.field("keys", keys)
         .field("word_bits", k)
-        .field("scans_timed", scans)
+        .field("scans_per_batch", scans)
         .field("scan_steps", static_cast<std::uint64_t>(
             scalar_r.steps))
         .field("scalar_host_ms_per_scan", scalar_ms)
         .field("simd_host_ms_per_scan", simd_ms)
         .field("simd_isa", kernels::availableIsaName())
-        .field("simd_speedup", simd_speedup)
-        .field("serial_host_ms_per_scan", serial_ms)
-        .field("parallel_host_ms_per_scan", parallel_ms)
-        .field("parallel_threads", parallel_threads)
-        .field("speedup", parallel_ms > 0.0
-            ? serial_ms / parallel_ms : 0.0)
+        .field("simd_speedup", speedup)
         .field("simulated_ns_per_scan", simulated_ns)
+        .raw("sweep", sweep)
         .write("BENCH_scan.json");
 
-    // Deterministic chip-stat dump: identical scan work for any
-    // thread count or kernel mode must produce a bit-identical file
-    // (CI diffs the dumps across RIME_THREADS and RIME_SIMD).
+    // Deterministic chip-stat dump: identical scan work for either
+    // kernel mode must produce a bit-identical file (CI diffs the
+    // dumps across RIME_SIMD).
     const std::string stats_path =
         envString("RIME_STATS").value_or("STATS_scan.json");
     StatRegistry::process().mergeGroup("chip", chip.stats());

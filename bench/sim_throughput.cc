@@ -178,8 +178,7 @@ runScanStream(bool scalar, std::uint64_t n, std::uint64_t extractions)
     namespace kernels = rimehw::kernels;
     kernels::setMode(scalar ? kernels::Mode::Scalar
                             : kernels::Mode::Simd);
-    rimehw::RimeChip chip(rimehw::RimeGeometry{},
-                          rimehw::RimeTimingParams{}, 1);
+    rimehw::RimeChip chip;
     chip.configure(32, KeyMode::UnsignedFixed);
     const auto raws = randomRaws(n, 1313);
     for (std::uint64_t i = 0; i < n; ++i)

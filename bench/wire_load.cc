@@ -489,7 +489,6 @@ int
 main()
 {
     setVerbose(false);
-    ::setenv("RIME_THREADS", "1", 0); // deterministic single-core sim
     const auto ops = static_cast<std::uint64_t>(
         std::max<long>(64, std::lround(512.0 * benchScale())));
 

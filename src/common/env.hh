@@ -3,7 +3,7 @@
  * Strict environment-variable parsing.
  *
  * Every RIME_* knob goes through these helpers so a typo'd setting
- * (RIME_BENCH_SCALE=0.5x, RIME_THREADS=four) aborts the run with a
+ * (RIME_BENCH_SCALE=0.5x, RIME_SWEEP_THREADS=four) aborts the run with a
  * clear message instead of silently running a misconfigured
  * simulation.  An unset variable yields the fallback; a set-but-
  * malformed one is a user error and raises fatal().

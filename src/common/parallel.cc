@@ -1,6 +1,5 @@
 #include "parallel.hh"
 
-#include "env.hh"
 #include "logging.hh"
 
 namespace rime
@@ -14,34 +13,12 @@ thread_local const ThreadPool *tlsWorkerOf = nullptr;
 
 } // namespace
 
-unsigned
-ThreadPool::configuredThreads()
-{
-    static const unsigned configured = [] {
-        // Strict parse: a garbled RIME_THREADS aborts instead of
-        // silently falling back to the hardware width.  0 (or unset)
-        // selects the hardware default.
-        const std::uint64_t v = envU64("RIME_THREADS", 0);
-        if (v > 0)
-            return static_cast<unsigned>(v);
-        const unsigned hw = std::thread::hardware_concurrency();
-        return hw > 0 ? hw : 1u;
-    }();
-    return configured;
-}
-
-ThreadPool &
-ThreadPool::global()
-{
-    static ThreadPool pool(configuredThreads());
-    return pool;
-}
-
 ThreadPool::ThreadPool(unsigned threads)
 {
-    if (threads == 0)
-        threads = configuredThreads();
-    spawnWorkers(threads - 1);
+    const unsigned count = threads > 1 ? threads - 1 : 0;
+    workers_.reserve(count);
+    for (unsigned i = 0; i < count; ++i)
+        workers_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
@@ -53,30 +30,6 @@ ThreadPool::~ThreadPool()
     wakeCv_.notify_all();
     for (auto &w : workers_)
         w.join();
-}
-
-void
-ThreadPool::ensureThreads(unsigned threads)
-{
-    // Growing while another thread's run() is in flight would let a
-    // fresh worker join the live job and skew its completion count,
-    // so growth waits for the pool to go idle.
-    std::lock_guard<std::mutex> run_lock(runMutex_);
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (threads <= workers_.size() + 1)
-        return;
-    const unsigned extra =
-        threads - 1 - static_cast<unsigned>(workers_.size());
-    for (unsigned i = 0; i < extra; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
-}
-
-void
-ThreadPool::spawnWorkers(unsigned count)
-{
-    workers_.reserve(count);
-    for (unsigned i = 0; i < count; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
 }
 
 void
@@ -171,26 +124,6 @@ ThreadPool::run(unsigned tasks, const std::function<void(unsigned)> &fn)
     std::unique_lock<std::mutex> lock(mutex_);
     doneCv_.wait(lock, [&] { return workersDone_ == workers; });
     job_ = nullptr;
-}
-
-void
-ThreadPool::forShards(std::size_t n, unsigned shards,
-                      const std::function<void(std::size_t, std::size_t,
-                                               unsigned)> &fn)
-{
-    if (n == 0)
-        return;
-    if (shards > n)
-        shards = static_cast<unsigned>(n);
-    if (shards <= 1) {
-        fn(0, n, 0);
-        return;
-    }
-    run(shards, [&](unsigned s) {
-        const std::size_t begin = n * s / shards;
-        const std::size_t end = n * (s + 1) / shards;
-        fn(begin, end, s);
-    });
 }
 
 } // namespace rime

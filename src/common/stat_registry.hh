@@ -12,9 +12,7 @@
  *  - dumpJson: a nested JSON tree, machine-readable.  Stat names with
  *    the "*WallNs" suffix carry host wall-clock time and are excluded
  *    by default, so the JSON dump of a simulation is bit-identical
- *    across runs and across RIME_THREADS settings (the determinism
- *    contract of the parallel scan engine, extended to the
- *    instrumentation).
+ *    across runs and across RIME_SIMD settings.
  *
  * The process-wide accumulator `StatRegistry::process()` collects the
  * stats of components that have been destroyed (RimeLibrary publishes

@@ -7,7 +7,7 @@
  * Beyond scalars, a StatGroup can hold log2-bucketed histograms
  * (per-extraction latency, repair-event batch sizes, survivor
  * distributions).  All recording happens on the controller thread of a
- * simulation, so stat content is deterministic for any RIME_THREADS
+ * simulation, so stat content is deterministic for any RIME_SIMD
  * value; wall-clock measurements use the reserved "*WallNs" name
  * suffix, which deterministic dumps (StatRegistry::dumpJson) exclude.
  *

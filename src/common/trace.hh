@@ -8,11 +8,11 @@
  * bool, so instrumented hot paths (the per-step scan phases) stay
  * within noise of the un-instrumented build.
  *
- * Determinism: trace points are only placed in controller-thread code
- * (never inside pool workers), and event arguments carry only
- * simulation-deterministic values, so the sequence of events and
- * their args are bit-identical across RIME_THREADS settings; only the
- * wall-clock "ts"/"dur" fields vary between runs.
+ * Determinism: trace points are only placed in controller-thread code,
+ * and event arguments carry only simulation-deterministic values, so
+ * the sequence of events and their args are bit-identical across
+ * RIME_SIMD settings; only the wall-clock "ts"/"dur" fields vary
+ * between runs.
  *
  * Usage:
  *   { TraceSpan span("chip", "scan");         // one complete event

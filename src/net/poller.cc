@@ -32,7 +32,8 @@ WakePipe::wake()
 {
     if (writeFd_ < 0)
         return;
-    // Already armed: a byte is in the pipe and the loop will run.
+    // Already armed: a byte is in the pipe, or the loop is still in
+    // drain() and pumps completions after it.  Either way it will run.
     if (armed_.exchange(true, std::memory_order_acq_rel))
         return;
     const char byte = 1;
@@ -46,13 +47,18 @@ WakePipe::drain()
 {
     if (readFd_ < 0)
         return;
-    // Disarm before reading: a waker racing past this point writes a
-    // fresh byte for the *next* poll round, which at worst means one
-    // spurious wakeup -- never a lost one.
-    armed_.store(false, std::memory_order_release);
+    // Read the pipe empty first, then disarm.  Disarming first would
+    // let a waker racing into that gap write a byte this read loop
+    // swallows, leaving armed_ set over an empty pipe: every later
+    // wake() would then skip its write and the loop would sleep
+    // through them.  In this order a waker that still sees armed_ set
+    // wrote nothing, and its completion is visible to the caller's
+    // pump after drain() (the exchange acquires the waker's release);
+    // a waker that sees it cleared writes a byte for the next round.
     char buf[256];
     while (::read(readFd_, buf, sizeof(buf)) > 0) {
     }
+    armed_.exchange(false, std::memory_order_acq_rel);
 }
 
 int

@@ -28,8 +28,7 @@ RimeDevice::RimeDevice(const DeviceConfig &config)
             // Decorrelate the chips without extra user-visible knobs.
             chip_faults.seed = config.faults.seed + i;
             chips_.push_back(std::make_unique<rimehw::RimeChip>(
-                config.geometry, config.timing, config.hostThreads,
-                chip_faults));
+                config.geometry, config.timing, chip_faults));
         } else {
             chips_.push_back(std::make_unique<rimehw::FastRime>(
                 config.geometry, config.timing));

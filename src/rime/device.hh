@@ -34,16 +34,9 @@ struct DeviceConfig
     rimehw::RimeTimingParams timing{};
     /**
      * Use the bit-level RimeChip model instead of FastRime.  Exact but
-     * O(k*N) per extraction; usable at paper scale with hostThreads.
+     * O(k*N) per extraction.
      */
     bool bitLevel = false;
-    /**
-     * Host threads driving each bit-level chip's scan engine (0 =
-     * the RIME_THREADS environment variable, else the hardware
-     * concurrency).  Any value produces bit-identical results; this
-     * is purely a simulator-speed knob.
-     */
-    unsigned hostThreads = 0;
     /** Candidates each chip computes ahead into its DIMM data buffer. */
     unsigned bufferDepth = 4;
     /** Host-side merge cost per extracted value (CPU compare loop). */

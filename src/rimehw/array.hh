@@ -10,9 +10,8 @@
  * structure of the physical selectline sensing.
  *
  * Column words are 64-byte aligned (one 512-row column is exactly one
- * cache line), and with a SIMD kernel table dispatched the column
- * search runs vectorized (kernels.hh); the original scalar word loop
- * stays inline as the RIME_SIMD=0 reference path.
+ * cache line), and the column search runs on the dispatched kernel
+ * table (kernels.hh).
  */
 
 #ifndef RIME_RIMEHW_ARRAY_HH
@@ -173,8 +172,8 @@ class RramArray
     {
         ColumnSearchResult result;
         result.match = BitVector(rows_);
-        const auto signals =
-            columnSearchInto(col, search_bit, select, result.match);
+        const auto signals = columnSearchInto(
+            col, search_bit, select.words(), result.match.words());
         result.anyMatch = signals.anyMatch;
         result.anyMismatch = signals.anyMismatch;
         return result;
@@ -182,100 +181,73 @@ class RramArray
 
     /**
      * Allocation-free column search: write the match vector into
-     * `match` (which must be rows() wide) and return the wired-OR
-     * signals.  One pass over the column words; the hot path of a
-     * scan step.
+     * `match` and return the wired-OR signals.  `select` and `match`
+     * each hold one word per 64 rows.  One pass over the column
+     * words; the recorded-match step of a faulty chip's scan.
      */
     ColumnSearchSignals
     columnSearchInto(unsigned col, bool search_bit,
-                     const BitVector &select, BitVector &match) const
+                     const std::uint64_t *select,
+                     std::uint64_t *match) const
     {
-        const std::uint64_t *col_words = &columns_[colBase(col)];
-        if (kernels::simdEnabled()) {
-            // Gather the per-word disturb masks (zero-cost when no
-            // fault model is attached) so the kernel operates on
-            // plain arrays; bounded stack scratch, no allocation.
-            const std::uint64_t *disturb = nullptr;
-            std::uint64_t dbuf[kMaxKernelWords];
-            if (faults_) {
-                if (wordsPerCol_ > kMaxKernelWords)
-                    return columnSearchRef(col, search_bit,
-                                           select, match);
-                const std::uint64_t epoch = faults_->epoch();
-                for (unsigned w = 0; w < wordsPerCol_; ++w)
-                    dbuf[w] = faults_->disturbWord(arrayId_, col, w,
-                                                   epoch);
-                disturb = dbuf;
-            }
-            const auto sig = kernels::active().columnSearch(
-                col_words, disturb, select.words(), match.words(),
-                wordsPerCol_, search_bit);
-            return {sig.anyMatch, sig.anyMismatch};
+        // Gather the per-word disturb masks (zero-cost when no fault
+        // model is attached) so the kernel operates on plain arrays;
+        // bounded stack scratch, no allocation.
+        const std::uint64_t *disturb = nullptr;
+        std::uint64_t dbuf[kMaxKernelWords];
+        if (faults_) {
+            if (wordsPerCol_ > kMaxKernelWords)
+                return columnSearchRef(col, search_bit, select, match);
+            const std::uint64_t epoch = faults_->epoch();
+            for (unsigned w = 0; w < wordsPerCol_; ++w)
+                dbuf[w] = faults_->disturbWord(arrayId_, col, w, epoch);
+            disturb = dbuf;
         }
-        return columnSearchRef(col, search_bit, select, match);
+        const auto sig = kernels::active().columnSearch(
+            &columns_[colBase(col)], disturb, select, match,
+            wordsPerCol_, search_bit);
+        return {sig.anyMatch, sig.anyMismatch};
     }
 
     /**
-     * Signals-only probe (the SIMD fast path): compute the wired-OR
-     * signals without writing a match vector.  Only valid when no
-     * fault model is attached -- the match must be recomputable from
-     * the stored column at commit time (commitSearch) -- so this
-     * returns false when the caller must use columnSearchInto.
+     * Stored words of one column, one per 64 rows.  Columns are
+     * contiguous, so column col + i starts i such spans later.  The
+     * fault-free scan searches these directly through the run
+     * kernels: with no fault model attached, the sensed bits are the
+     * stored bits.
      */
-    bool
-    probeSignals(unsigned col, bool search_bit,
-                 const BitVector &select,
-                 ColumnSearchSignals &out) const
+    const std::uint64_t *
+    columnWords(unsigned col) const
     {
-        if (!kernels::simdEnabled() || faults_)
-            return false;
-        const auto sig = kernels::active().searchSignals(
-            &columns_[colBase(col)], select.words(), wordsPerCol_,
-            search_bit);
-        out.anyMatch = sig.anyMatch;
-        out.anyMismatch = sig.anyMismatch;
-        return true;
-    }
-
-    /**
-     * Fused commit for a probeSignals probe: select &= ~match with
-     * the match recomputed from the stored column, returning the
-     * surviving count.  Caller guarantees select is unchanged since
-     * the probe and no fault model is attached; the result is
-     * bit-identical to select.andNotCount(match) on the match the
-     * probe would have recorded.
-     */
-    unsigned
-    commitSearch(unsigned col, bool search_bit,
-                 BitVector &select) const
-    {
-        return kernels::active().commitSearch(
-            select.words(), &columns_[colBase(col)], wordsPerCol_,
-            search_bit);
+        return &columns_[colBase(col)];
     }
 
   private:
     /** Tallest array the stack disturb-gather buffer covers. */
     static constexpr unsigned kMaxKernelWords = 16;
 
-    /** The scalar reference column search (the pre-SIMD loop). */
+    /**
+     * Column search of a faulty array taller than the disturb-gather
+     * buffer: the disturb masks are applied word by word inline.
+     */
     ColumnSearchSignals
     columnSearchRef(unsigned col, bool search_bit,
-                    const BitVector &select, BitVector &match) const
+                    const std::uint64_t *select,
+                    std::uint64_t *match) const
     {
         ColumnSearchSignals signals;
         const std::uint64_t *col_words = &columns_[colBase(col)];
         std::uint64_t any_match = 0;
         std::uint64_t any_mismatch = 0;
         for (unsigned w = 0; w < wordsPerCol_; ++w) {
-            const std::uint64_t sel = select.word(w);
+            const std::uint64_t sel = select[w];
             std::uint64_t bits = col_words[w];
             if (faults_) {
                 bits ^= faults_->disturbWord(arrayId_, col, w,
                                              faults_->epoch());
             }
             const std::uint64_t m = sel & (search_bit ? bits : ~bits);
-            match.setWord(w, m);
+            match[w] = m;
             any_match |= m;
             any_mismatch |= sel & ~m;
         }

@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "common/logging.hh"
-#include "common/parallel.hh"
 #include "common/trace.hh"
 #include "rimehw/kernels.hh"
 
@@ -13,7 +12,6 @@ namespace rime::rimehw
 
 RimeChip::RimeChip(const RimeGeometry &geometry,
                    const RimeTimingParams &timing,
-                   unsigned host_threads,
                    const FaultParams &faults)
     : geometry_(geometry), timing_(timing), faultParams_(faults),
       stats_("rimechip"), endurance_(512)
@@ -33,25 +31,7 @@ RimeChip::RimeChip(const RimeGeometry &geometry,
         faults_ = std::make_unique<FaultModel>(faultParams_);
     arrays_.resize(std::size_t(geometry_.banksPerChip) *
                    geometry_.subbanksPerBank);
-    setHostThreads(host_threads);
     configure(32, KeyMode::UnsignedFixed);
-}
-
-void
-RimeChip::setHostThreads(unsigned host_threads)
-{
-    threads_ = host_threads ? host_threads
-                            : ThreadPool::configuredThreads();
-    if (threads_ > 1)
-        ThreadPool::global().ensureThreads(threads_);
-    shardScratch_.assign(threads_, ShardSignals{});
-}
-
-unsigned
-RimeChip::shardCount() const
-{
-    return static_cast<unsigned>(std::min<std::size_t>(
-        threads_, activeUnits_.size()));
 }
 
 unsigned
@@ -376,24 +356,18 @@ RimeChip::initRange(std::uint64_t begin, std::uint64_t end)
         fatal("bad range [%llu, %llu)",
               static_cast<unsigned long long>(begin),
               static_cast<unsigned long long>(end));
-    // Reset the exclusion latches of every row in the range; each
-    // unit's latches are private, so units clear concurrently.
+    // Reset the exclusion latches of every row in the range.
     selectRange(begin, end);
-    ThreadPool::global().forShards(
-        activeUnits_.size(), shardCount(),
-        [&](std::size_t lo, std::size_t hi, unsigned) {
-            for (std::size_t i = lo; i < hi; ++i) {
-                const std::uint64_t rows = rowsPerUnit();
-                const std::uint64_t unit_base =
-                    (activeFirstUnit_ + i) * rows;
-                const unsigned begin_row = begin > unit_base
-                    ? static_cast<unsigned>(begin - unit_base) : 0;
-                const unsigned end_row = end < unit_base + rows
-                    ? static_cast<unsigned>(end - unit_base)
-                    : static_cast<unsigned>(rows);
-                activeUnits_[i]->clearExclusions(begin_row, end_row);
-            }
-        });
+    const std::uint64_t rows = rowsPerUnit();
+    for (std::size_t i = 0; i < activeUnits_.size(); ++i) {
+        const std::uint64_t unit_base = (activeFirstUnit_ + i) * rows;
+        const unsigned begin_row = begin > unit_base
+            ? static_cast<unsigned>(begin - unit_base) : 0;
+        const unsigned end_row = end < unit_base + rows
+            ? static_cast<unsigned>(end - unit_base)
+            : static_cast<unsigned>(rows);
+        activeUnits_[i]->clearExclusions(begin_row, end_row);
+    }
     stats_.inc("rangeInits");
     // Select-vector initialization propagates begin/end down the
     // H-tree and latches the per-row select bits: one tree traversal.
@@ -410,8 +384,10 @@ RimeChip::selectRange(std::uint64_t begin, std::uint64_t end)
     rangeBegin_ = begin;
     rangeEnd_ = end;
     activeUnits_.clear();
-    if (begin >= end)
+    if (begin >= end) {
+        latches_.bind(activeUnits_);
         return;
+    }
     const std::uint64_t rows = rowsPerUnit();
     const std::uint64_t first_unit = begin / rows;
     const std::uint64_t last_unit = (end - 1) / rows;
@@ -427,21 +403,13 @@ RimeChip::selectRange(std::uint64_t begin, std::uint64_t end)
         au.setRange(begin_row, end_row);
         activeUnits_.push_back(&au);
     }
+    latches_.bind(activeUnits_);
 }
 
 std::uint64_t
 RimeChip::loadSelectLatches()
 {
-    return parallelReduce(
-        ThreadPool::global(), activeUnits_.size(), shardCount(),
-        std::uint64_t(0),
-        [&](std::size_t lo, std::size_t hi, unsigned) {
-            std::uint64_t count = 0;
-            for (std::size_t i = lo; i < hi; ++i)
-                count += activeUnits_[i]->beginExtraction();
-            return count;
-        },
-        [](std::uint64_t a, std::uint64_t b) { return a + b; });
+    return latches_.load(activeUnits_);
 }
 
 std::uint64_t
@@ -481,24 +449,20 @@ RimeChip::runScanSteps(bool find_max, std::uint64_t survivors)
 {
     ScanAttempt att;
     // Bit-serial scan, MSB first.  Each step performs a column search
-    // in every active unit *concurrently* (all mats of a chip search
-    // in lockstep, Figure 11): the units are partitioned into
-    // contiguous shards, each shard probes/commits on its own worker,
-    // and the controller merges the per-shard (anyMatch, anyMismatch,
-    // survivors) partials in shard order -- an order-preserving
-    // reduction, so the outcome is bit-identical for any thread
-    // count.  The global exclusion decision is then broadcast back.
-    ThreadPool &pool = ThreadPool::global();
+    // in every active unit -- all mats of a chip search in lockstep
+    // (Figure 11), which the step's simulated time charges once --
+    // and the controller broadcasts the global exclusion decision
+    // back.  The host walks the units' latches (latches_) serially,
+    // in address order.
     Tracer &tracer = Tracer::global();
-    const unsigned shards = shardCount();
-    // With SIMD dispatched and no fault model, probes are pure
-    // signal reductions (no recorded match vector) and commits
-    // recompute the match from the stored column.  Probing can then
-    // stop the moment a shard's wired-OR signals both saturate --
-    // further probes only OR in more -- which skips most of the
-    // probe pass on split-heavy steps.  The recorded-match path
-    // cannot early-exit: its commit consumes the probe's output.
-    const bool fused = kernels::simdEnabled() && !faults_;
+    // Without a fault model, probes are pure signal reductions (no
+    // recorded match vector) and commits recompute the match from the
+    // stored column.  Probing can then stop the moment the wired-OR
+    // signals both saturate -- further probes only OR in more --
+    // which skips most of the probe pass on split-heavy steps.  The
+    // recorded-match path of a faulty chip cannot early-exit: its
+    // commit consumes every unit's probe output.
+    const bool fused = !faults_;
     bool negatives_present = false;
     if (survivors > 1 || !timing_.earlyTermination) {
         for (unsigned s = 0; s < k_; ++s) {
@@ -508,31 +472,14 @@ RimeChip::runScanSteps(bool find_max, std::uint64_t survivors)
             bool any_match = false;
             bool any_mismatch = false;
             {
-                // Probe phase: per-shard wired-OR of the match
-                // signals.
+                // Probe phase: wired-OR of the match signals.
                 TraceSpan probe_span(tracer, "chip", "probe");
-                pool.forShards(
-                    activeUnits_.size(), shards,
-                    [&](std::size_t lo, std::size_t hi,
-                        unsigned shard) {
-                        bool m = false, mm = false;
-                        for (std::size_t i = lo; i < hi; ++i) {
-                            const auto probe =
-                                activeUnits_[i]->probe(s, search_bit);
-                            m = m || probe.anyMatch;
-                            mm = mm || probe.anyMismatch;
-                            if (fused && m && mm)
-                                break;
-                        }
-                        shardScratch_[shard].anyMatch = m;
-                        shardScratch_[shard].anyMismatch = mm;
-                    });
-                for (unsigned shard = 0; shard < shards; ++shard) {
-                    any_match =
-                        any_match || shardScratch_[shard].anyMatch;
-                    any_mismatch =
-                        any_mismatch || shardScratch_[shard].anyMismatch;
-                }
+                const ColumnSearchSignals probe = fused
+                    ? latches_.probe(s, search_bit)
+                    : latches_.probeRecorded(activeUnits_, s,
+                                             search_bit);
+                any_match = probe.anyMatch;
+                any_mismatch = probe.anyMismatch;
                 probe_span.arg("step", s);
                 probe_span.arg("searchBit", search_bit);
                 probe_span.arg("anyMatch", any_match);
@@ -543,31 +490,12 @@ RimeChip::runScanSteps(bool find_max, std::uint64_t survivors)
                 // Commit phase: broadcast the decision, re-count
                 // survivors through the index tree.
                 TraceSpan commit_span(tracer, "chip", "commit");
-                pool.forShards(
-                    activeUnits_.size(), shards,
-                    [&](std::size_t lo, std::size_t hi,
-                        unsigned shard) {
-                        std::uint64_t n = 0;
-                        if (fused) {
-                            for (std::size_t i = lo; i < hi; ++i) {
-                                n += activeUnits_[i]
-                                    ->commitFusedAndCount(s,
-                                                          search_bit);
-                            }
-                        } else {
-                            for (std::size_t i = lo; i < hi; ++i)
-                                n += activeUnits_[i]
-                                    ->commitAndCount(true);
-                        }
-                        shardScratch_[shard].survivors = n;
-                    });
-                survivors = 0;
-                for (unsigned shard = 0; shard < shards; ++shard)
-                    survivors += shardScratch_[shard].survivors;
+                survivors = fused ? latches_.commit(s, search_bit)
+                                  : latches_.commitRecorded();
                 commit_span.arg("step", s);
                 commit_span.arg("survivors", survivors);
                 // Survivor-set narrowing distribution, one sample per
-                // excluding step (deterministic for any thread count).
+                // excluding step.
                 stats_.hist("scanSurvivors").record(
                     static_cast<double>(survivors));
             }
@@ -603,16 +531,7 @@ RimeChip::runScanSteps(bool find_max, std::uint64_t survivors)
         static_cast<double>(activeUnits_.size());
 
     // Priority-encode the winner: lowest unit, then lowest row.
-    for (std::size_t i = 0; i < activeUnits_.size(); ++i) {
-        ArrayUnit *au = activeUnits_[i];
-        const unsigned row = au->firstSurvivor();
-        if (row >= au->rows())
-            continue;
-        att.found = true;
-        att.unitPos = i;
-        att.physRow = row;
-        return att;
-    }
+    att.found = latches_.firstSurvivor(att.unitPos, att.physRow);
     return att;
 }
 

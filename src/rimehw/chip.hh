@@ -20,9 +20,7 @@
  * disturb is enabled -- two consecutive scans in different disturb
  * epochs must reproduce the same winner before it is emitted.  A scan
  * either returns a verified-correct value or an
- * explicit non-Ok ScanStatus -- never a silently wrong item.  All
- * repair decisions are made serially by the controller, so results
- * stay bit-identical for any hostThreads value.
+ * explicit non-Ok ScanStatus -- never a silently wrong item.
  */
 
 #ifndef RIME_RIMEHW_CHIP_HH
@@ -41,6 +39,7 @@
 #include "rimehw/backend.hh"
 #include "rimehw/endurance.hh"
 #include "rimehw/faults.hh"
+#include "rimehw/latches.hh"
 #include "rimehw/params.hh"
 #include "rimehw/unit.hh"
 
@@ -52,22 +51,13 @@ class RimeChip : public RankBackend
 {
   public:
     /**
-     * @param host_threads execution width of the host-side parallel
-     *        scan engine (mats compute concurrently in the real chip);
-     *        0 selects the RIME_THREADS / hardware default.  Results,
-     *        statistics, and energy are bit-identical for any value.
      * @param faults fault-injection and repair-provisioning knobs;
      *        default-constructed params inject nothing and leave the
      *        fault machinery entirely out of the scan path
      */
     RimeChip(const RimeGeometry &geometry = RimeGeometry{},
              const RimeTimingParams &timing = RimeTimingParams{},
-             unsigned host_threads = 0,
              const FaultParams &faults = FaultParams{});
-
-    /** Change the host-side execution width (0 = configured default). */
-    void setHostThreads(unsigned host_threads);
-    unsigned hostThreads() const { return threads_; }
 
     /**
      * Set the word width and data-type mode for subsequent operations
@@ -148,9 +138,10 @@ class RimeChip : public RankBackend
     unsigned rowsPerUnit() const;
     /** Point the cached active-unit list at [begin, end). */
     void selectRange(std::uint64_t begin, std::uint64_t end);
-    /** Shards for the current active-unit list. */
-    unsigned shardCount() const;
-    /** beginExtraction on every active unit; total survivor count. */
+    /**
+     * Load every active unit's select latches (range minus excluded);
+     * total survivor count.
+     */
     std::uint64_t loadSelectLatches();
 
     /** Charge one sense read of a value row to stats. */
@@ -183,19 +174,6 @@ class RimeChip : public RankBackend
     void raiseHealth(std::uint64_t logical_unit, UnitHealth to);
     /** Drop the cached active-unit list (after a unit migration). */
     void invalidateActiveUnits();
-
-    /**
-     * Per-shard partials of one concurrent scan phase, merged by the
-     * controller in shard order (the order-preserving reduction the
-     * H-tree performs in hardware).  Cache-line aligned so worker
-     * threads never share a line.
-     */
-    struct alignas(64) ShardSignals
-    {
-        bool anyMatch = false;
-        bool anyMismatch = false;
-        std::uint64_t survivors = 0;
-    };
 
     /** Winner of one scan attempt (before verification). */
     struct ScanAttempt
@@ -232,11 +210,8 @@ class RimeChip : public RankBackend
     /** Units overlapping the active range, in address order. */
     std::vector<ArrayUnit *> activeUnits_;
     std::uint64_t activeFirstUnit_ = 0;
-
-    /** Host-side execution width of the scan engine. */
-    unsigned threads_ = 1;
-    /** Per-shard scratch, reused across steps to avoid allocation. */
-    std::vector<ShardSignals> shardScratch_;
+    /** Select latches of the active units, bound by selectRange. */
+    ScanLatches latches_;
 
     FaultParams faultParams_;
     std::unique_ptr<FaultModel> faults_;

@@ -5,8 +5,7 @@
  *
  * Every fault decision is a pure function of a seed and the cell's
  * coordinates, never of visitation order, so a faulty chip is exactly
- * reproducible and -- critically -- bit-identical whether the host
- * scan engine runs on one thread or many:
+ * reproducible and bit-identical under either kernel table:
  *
  *  - Stuck-at-0/1 cells are a manufacturing-time property of each
  *    (array, row, col) coordinate.  They are baked into the stored
@@ -19,8 +18,8 @@
  *    the chip's write-verify catches.
  *  - Read disturb transiently flips sensed bits.  Flips are keyed by
  *    (array, col, word, epoch) where the epoch counter is advanced
- *    serially by the chip controller -- concurrent probes of one step
- *    all observe the same epoch, preserving thread-count determinism.
+ *    serially by the chip controller -- every probe of one step
+ *    observes the same epoch.
  */
 
 #ifndef RIME_RIMEHW_FAULTS_HH

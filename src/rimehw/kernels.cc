@@ -2,12 +2,11 @@
  * @file
  * Scalar bit-plane kernels and the runtime dispatcher.
  *
- * The scalar implementations here are line-for-line the word loops of
- * the pre-SIMD BitVector/RramArray code; they define the reference
- * semantics every ISA variant must reproduce bit for bit.  Dispatch
- * picks the best table for the host once (RIME_SIMD knob, CPUID) and
- * publishes it through kernels::detail so the hot paths pay one
- * predictable branch, no locks.
+ * The scalar implementations here are plain word loops; they define
+ * the reference semantics every ISA variant must reproduce bit for
+ * bit.  Dispatch picks the best table for the host once (RIME_SIMD
+ * knob, CPUID) and publishes it through kernels::detail so the hot
+ * paths pay one indirect call, no locks.
  */
 
 #include "rimehw/kernels.hh"
@@ -71,6 +70,46 @@ scalarCommitSearch(std::uint64_t *select, const std::uint64_t *col,
         count += static_cast<unsigned>(std::popcount(select[w]));
     }
     return count;
+}
+
+SearchSignals
+scalarSearchSignalsRun(const std::uint64_t *select,
+                       const std::uint64_t *const *cols,
+                       unsigned col_offset, const unsigned *survivors,
+                       std::size_t units, unsigned nwords,
+                       bool search_bit)
+{
+    SearchSignals acc;
+    for (std::size_t u = 0; u < units; ++u, select += nwords) {
+        if (survivors[u] == 0)
+            continue;
+        const SearchSignals sig = scalarSearchSignals(
+            cols[u] + col_offset, select, nwords, search_bit);
+        acc.anyMatch = acc.anyMatch || sig.anyMatch;
+        acc.anyMismatch = acc.anyMismatch || sig.anyMismatch;
+        if (acc.anyMatch && acc.anyMismatch)
+            break;
+    }
+    return acc;
+}
+
+std::uint64_t
+scalarCommitSearchRun(std::uint64_t *select,
+                      const std::uint64_t *const *cols,
+                      unsigned col_offset, unsigned *survivors,
+                      std::size_t units, unsigned nwords,
+                      bool search_bit)
+{
+    std::uint64_t total = 0;
+    for (std::size_t u = 0; u < units; ++u, select += nwords) {
+        if (survivors[u] == 0)
+            continue;
+        __builtin_prefetch(cols[u] + col_offset + nwords);
+        survivors[u] = scalarCommitSearch(select, cols[u] + col_offset,
+                                          nwords, search_bit);
+        total += survivors[u];
+    }
+    return total;
 }
 
 unsigned
@@ -138,6 +177,8 @@ constexpr KernelTable kScalarTable = {
     scalarColumnSearch,
     scalarSearchSignals,
     scalarCommitSearch,
+    scalarSearchSignalsRun,
+    scalarCommitSearchRun,
     scalarAndNotCount,
     scalarAssignAndNotCount,
     scalarAndNot,
@@ -158,7 +199,6 @@ const KernelTable *neonTable();
 namespace detail
 {
 constinit const KernelTable *activeTable = &kScalarTable;
-constinit bool simdActive = false;
 } // namespace detail
 
 namespace
@@ -223,22 +263,12 @@ availableIsaName()
 void
 setMode(Mode mode)
 {
-    if (mode == Mode::Scalar) {
-        detail::activeTable = &kScalarTable;
-        detail::simdActive = false;
-        return;
-    }
-    const KernelTable *t = bestSimdTable();
-    if (!t) {
-        if (mode == Mode::Simd)
-            warn("RIME_SIMD=1 but this build/host has no SIMD "
-                 "kernels; using the scalar path");
-        detail::activeTable = &kScalarTable;
-        detail::simdActive = false;
-        return;
-    }
-    detail::activeTable = t;
-    detail::simdActive = true;
+    const KernelTable *t =
+        mode == Mode::Scalar ? nullptr : bestSimdTable();
+    if (!t && mode == Mode::Simd)
+        warn("RIME_SIMD=1 but this build/host has no SIMD kernels; "
+             "using the scalar path");
+    detail::activeTable = t ? t : &kScalarTable;
 }
 
 Mode

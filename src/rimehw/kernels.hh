@@ -1,8 +1,16 @@
 /**
  * @file
  * SIMD kernel layer for the bit-plane hot loops of the RIME scan
- * path: column search, fused commit+popcount, select-latch load,
- * range fills, and BitVector bulk ops.
+ * path: column search, the fault-free scan's probe and fused
+ * commit+popcount, select-latch load, range fills, and BitVector bulk
+ * ops.
+ *
+ * The fault-free probe and commit are run kernels: one call walks
+ * every unit of a scan step, over select latches stored contiguously
+ * per chip (ScanLatches, latches.hh).  A unit holds 8 words at 512
+ * rows, too little work to amortize an indirect call and a chain of
+ * dependent loads per unit; inside one kernel the per-unit loads come
+ * from flat arrays and overlap.
  *
  * Dispatch model: a process-wide table of function pointers
  * (KernelTable) selects between the portable scalar kernels and an
@@ -19,13 +27,11 @@
  * only be called while no scan is in flight (single-threaded setup
  * code); the hot paths read the table without synchronization.
  *
- * The scalar word loops that predate this layer survive verbatim
- * inside BitVector/RramArray as the reference path: callers branch on
- * simdEnabled() and only enter the kernel table when a SIMD variant
- * is active, so RIME_SIMD=0 executes exactly the pre-SIMD code.  The
- * scalar kernels in this table exist for completeness (and for unit
- * tests that exercise the table itself); they are line-for-line the
- * same loops.
+ * BitVector and RramArray call the dispatched table unconditionally,
+ * so each bulk op has one code path.  The scalar table is the
+ * reference: its plain word loops define the semantics every ISA
+ * variant must reproduce bit for bit, and RIME_SIMD=0 runs the whole
+ * simulator on it for the scalar/SIMD A/B gates.
  *
  * Alignment contract: BitVector and RramArray allocate their word
  * storage 64-byte aligned (WordVector below) so every kernel operand
@@ -40,6 +46,7 @@
 #ifndef RIME_RIMEHW_KERNELS_HH
 #define RIME_RIMEHW_KERNELS_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <new>
 #include <vector>
@@ -136,6 +143,37 @@ struct KernelTable
     unsigned (*commitSearch)(std::uint64_t *select,
                              const std::uint64_t *col,
                              unsigned nwords, bool search_bit);
+    /**
+     * searchSignals over a run of units: the probe phase of the
+     * fault-free chip scan.  Unit u's select latches are the nwords
+     * words at select + u * nwords and its searched column the nwords
+     * words at cols[u] + col_offset.  A unit with survivors[u] == 0
+     * has quiet selectlines and is skipped.  Returns the OR of the
+     * other units' signals; the walk stops once both are set, since
+     * further units only OR in more.
+     */
+    SearchSignals (*searchSignalsRun)(const std::uint64_t *select,
+                                      const std::uint64_t *const *cols,
+                                      unsigned col_offset,
+                                      const unsigned *survivors,
+                                      std::size_t units, unsigned nwords,
+                                      bool search_bit);
+    /**
+     * commitSearch over the same run layout: every unit with
+     * survivors[u] != 0 commits, and survivors[u] becomes the count
+     * commitSearch returns.  Returns the sum of survivors[] over the
+     * run.  Each committing unit also prefetches the nwords words
+     * after its column -- the column the next scan step searches --
+     * so the caller keeps that span inside the unit's storage or one
+     * past its end.  A 1M-key range's columns exceed L2; without the
+     * prefetch every step waits on them.
+     */
+    std::uint64_t (*commitSearchRun)(std::uint64_t *select,
+                                     const std::uint64_t *const *cols,
+                                     unsigned col_offset,
+                                     unsigned *survivors,
+                                     std::size_t units, unsigned nwords,
+                                     bool search_bit);
     /** dst &= ~mask, returning popcount(dst) (commit + count). */
     unsigned (*andNotCount)(std::uint64_t *dst,
                             const std::uint64_t *mask, unsigned n);
@@ -169,8 +207,6 @@ namespace detail
 /** Active table; constant-initialized to scalar, retargeted by the
  *  RIME_SIMD static initializer or setMode(). */
 extern const KernelTable *activeTable;
-/** True when activeTable is a SIMD variant (hot-path branch). */
-extern bool simdActive;
 } // namespace detail
 
 /** The dispatched kernel table. */
@@ -178,17 +214,6 @@ inline const KernelTable &
 active()
 {
     return *detail::activeTable;
-}
-
-/**
- * True when a SIMD table is dispatched: the BitVector/RramArray hot
- * paths enter the kernel layer only then, otherwise they run their
- * original scalar loops.
- */
-inline bool
-simdEnabled()
-{
-    return detail::simdActive;
 }
 
 /** True when this build + host offer a SIMD kernel table. */

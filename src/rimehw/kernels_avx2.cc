@@ -39,9 +39,9 @@ storeu(std::uint64_t *p, __m256i v)
     _mm256_storeu_si256(reinterpret_cast<__m256i *>(p), v);
 }
 
-/** Per-64-bit-lane popcount of v (vpshufb nibble LUT + vpsadbw). */
+/** Per-byte popcount of v (vpshufb nibble LUT). */
 inline __m256i
-popcount64x4(__m256i v)
+popcountBytes(__m256i v)
 {
     const __m256i lookup = _mm256_setr_epi8(
         0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
@@ -50,10 +50,15 @@ popcount64x4(__m256i v)
     const __m256i lo = _mm256_and_si256(v, low_mask);
     const __m256i hi =
         _mm256_and_si256(_mm256_srli_epi16(v, 4), low_mask);
-    const __m256i cnt = _mm256_add_epi8(
-        _mm256_shuffle_epi8(lookup, lo),
-        _mm256_shuffle_epi8(lookup, hi));
-    return _mm256_sad_epu8(cnt, _mm256_setzero_si256());
+    return _mm256_add_epi8(_mm256_shuffle_epi8(lookup, lo),
+                           _mm256_shuffle_epi8(lookup, hi));
+}
+
+/** Per-64-bit-lane popcount of v (byte counts + vpsadbw). */
+inline __m256i
+popcount64x4(__m256i v)
+{
+    return _mm256_sad_epu8(popcountBytes(v), _mm256_setzero_si256());
 }
 
 /** Sum of the four 64-bit lanes (exact: lane sums are <= 256). */
@@ -162,15 +167,37 @@ avx2SearchSignals(const std::uint64_t *col,
     return signals;
 }
 
-unsigned
-avx2CommitSearch(std::uint64_t *select, const std::uint64_t *col,
-                 unsigned nwords, bool search_bit)
+/**
+ * The commitSearch body.  Words fixes the word count at compile time;
+ * 0 takes nwords.
+ */
+template <unsigned Words>
+inline unsigned
+commitSearchWords(std::uint64_t *select, const std::uint64_t *col,
+                  unsigned nwords, bool search_bit)
 {
+    if constexpr (Words != 0)
+        nwords = Words;
     // select &= (search_bit ? ~col : col): xor with all-ones
     // complements, so reuse the inv trick with flipped polarity.
     const __m256i inv = _mm256_set1_epi64x(search_bit ? -1 : 0);
     __m256i acc = _mm256_setzero_si256();
     unsigned w = 0;
+    // Eight words (one 512-row column) per pass: the two chunks'
+    // byte counts (<= 16 each) share one vpsadbw.
+    for (; w + 8 <= nwords; w += 8) {
+        const __m256i lo = _mm256_and_si256(
+            loadu(select + w),
+            _mm256_xor_si256(loadu(col + w), inv));
+        const __m256i hi = _mm256_and_si256(
+            loadu(select + w + 4),
+            _mm256_xor_si256(loadu(col + w + 4), inv));
+        storeu(select + w, lo);
+        storeu(select + w + 4, hi);
+        acc = _mm256_add_epi64(acc, _mm256_sad_epu8(
+            _mm256_add_epi8(popcountBytes(lo), popcountBytes(hi)),
+            _mm256_setzero_si256()));
+    }
     for (; w + 4 <= nwords; w += 4) {
         const __m256i v = _mm256_and_si256(
             loadu(select + w),
@@ -185,6 +212,69 @@ avx2CommitSearch(std::uint64_t *select, const std::uint64_t *col,
         count += static_cast<unsigned>(std::popcount(select[w]));
     }
     return count;
+}
+
+unsigned
+avx2CommitSearch(std::uint64_t *select, const std::uint64_t *col,
+                 unsigned nwords, bool search_bit)
+{
+    return commitSearchWords<0>(select, col, nwords, search_bit);
+}
+
+SearchSignals
+avx2SearchSignalsRun(const std::uint64_t *select,
+                     const std::uint64_t *const *cols,
+                     unsigned col_offset, const unsigned *survivors,
+                     std::size_t units, unsigned nwords,
+                     bool search_bit)
+{
+    SearchSignals acc;
+    for (std::size_t u = 0; u < units; ++u, select += nwords) {
+        if (survivors[u] == 0)
+            continue;
+        const SearchSignals sig = avx2SearchSignals(
+            cols[u] + col_offset, select, nwords, search_bit);
+        acc.anyMatch = acc.anyMatch || sig.anyMatch;
+        acc.anyMismatch = acc.anyMismatch || sig.anyMismatch;
+        if (acc.anyMatch && acc.anyMismatch)
+            break;
+    }
+    return acc;
+}
+
+template <unsigned Words>
+std::uint64_t
+commitSearchRun(std::uint64_t *select, const std::uint64_t *const *cols,
+                unsigned col_offset, unsigned *survivors,
+                std::size_t units, unsigned nwords, bool search_bit)
+{
+    std::uint64_t total = 0;
+    for (std::size_t u = 0; u < units; ++u, select += nwords) {
+        if (survivors[u] == 0)
+            continue;
+        __builtin_prefetch(cols[u] + col_offset + nwords);
+        survivors[u] = commitSearchWords<Words>(
+            select, cols[u] + col_offset, nwords, search_bit);
+        total += survivors[u];
+    }
+    return total;
+}
+
+std::uint64_t
+avx2CommitSearchRun(std::uint64_t *select,
+                    const std::uint64_t *const *cols,
+                    unsigned col_offset, unsigned *survivors,
+                    std::size_t units, unsigned nwords,
+                    bool search_bit)
+{
+    // A 512-row column is 8 words; with the count a constant the
+    // per-unit body is straight-line code, no loop control.
+    if (nwords == 8) {
+        return commitSearchRun<8>(select, cols, col_offset, survivors,
+                                  units, nwords, search_bit);
+    }
+    return commitSearchRun<0>(select, cols, col_offset, survivors,
+                              units, nwords, search_bit);
 }
 
 unsigned
@@ -289,6 +379,8 @@ constexpr KernelTable kAvx2Table = {
     avx2ColumnSearch,
     avx2SearchSignals,
     avx2CommitSearch,
+    avx2SearchSignalsRun,
+    avx2CommitSearchRun,
     avx2AndNotCount,
     avx2AssignAndNotCount,
     avx2AndNot,

@@ -148,6 +148,46 @@ neonCommitSearch(std::uint64_t *select, const std::uint64_t *col,
     return static_cast<unsigned>(count);
 }
 
+SearchSignals
+neonSearchSignalsRun(const std::uint64_t *select,
+                     const std::uint64_t *const *cols,
+                     unsigned col_offset, const unsigned *survivors,
+                     std::size_t units, unsigned nwords,
+                     bool search_bit)
+{
+    SearchSignals acc;
+    for (std::size_t u = 0; u < units; ++u, select += nwords) {
+        if (survivors[u] == 0)
+            continue;
+        const SearchSignals sig = neonSearchSignals(
+            cols[u] + col_offset, select, nwords, search_bit);
+        acc.anyMatch = acc.anyMatch || sig.anyMatch;
+        acc.anyMismatch = acc.anyMismatch || sig.anyMismatch;
+        if (acc.anyMatch && acc.anyMismatch)
+            break;
+    }
+    return acc;
+}
+
+std::uint64_t
+neonCommitSearchRun(std::uint64_t *select,
+                    const std::uint64_t *const *cols,
+                    unsigned col_offset, unsigned *survivors,
+                    std::size_t units, unsigned nwords,
+                    bool search_bit)
+{
+    std::uint64_t total = 0;
+    for (std::size_t u = 0; u < units; ++u, select += nwords) {
+        if (survivors[u] == 0)
+            continue;
+        __builtin_prefetch(cols[u] + col_offset + nwords);
+        survivors[u] = neonCommitSearch(select, cols[u] + col_offset,
+                                        nwords, search_bit);
+        total += survivors[u];
+    }
+    return total;
+}
+
 unsigned
 neonAndNotCount(std::uint64_t *dst, const std::uint64_t *mask,
                 unsigned n)
@@ -243,6 +283,8 @@ constexpr KernelTable kNeonTable = {
     neonColumnSearch,
     neonSearchSignals,
     neonCommitSearch,
+    neonSearchSignalsRun,
+    neonCommitSearchRun,
     neonAndNotCount,
     neonAssignAndNotCount,
     neonAndNot,

@@ -1,7 +1,8 @@
 /**
  * @file
  * A logical scan unit: one slot group of one subarray, together with
- * its select-vector latches, range mask, and exclusion flags.
+ * its range mask and exclusion flags.  The select latches a scan
+ * walks are stored per chip, contiguously (ScanLatches, latches.hh).
  *
  * A k-bit word occupies k adjacent columns of the 512-wide subarray, so
  * each subarray hosts cols/k independent slot groups.  Each slot group
@@ -23,7 +24,6 @@
 #define RIME_RIMEHW_UNIT_HH
 
 #include <bit>
-#include <cassert>
 #include <cstdint>
 #include <unordered_map>
 
@@ -50,7 +50,6 @@ class ArrayUnit
           usableRows_(usable_rows ? usable_rows : array->rows()),
           nextSpare_(usableRows_),
           range_(array->rows()), excluded_(array->rows()),
-          select_(array->rows()), lastMatch_(array->rows()),
           badRows_(array->rows()), lost_(array->rows())
     {}
 
@@ -272,111 +271,47 @@ class ArrayUnit
     bool isLost(unsigned logical) const { return lost_.test(logical); }
 
     /**
-     * Load select latches for a new extraction (range minus excluded)
-     * and return the survivor count, in one pass over the words.
+     * Load this unit's select latches for a new extraction: `select`
+     * (rows() bits, one word per 64 rows) becomes range minus
+     * excluded.  Returns the survivor count, in one pass over the
+     * words.  The latches themselves live per chip (ScanLatches).
      */
     unsigned
-    beginExtraction()
+    loadSelect(std::uint64_t *select) const
     {
-        survivors_ = select_.assignAndNotCount(range_, excluded_);
-        return survivors_;
+        return kernels::active().assignAndNotCount(
+            select, range_.words(), excluded_.words(),
+            range_.numWords());
     }
 
     /**
-     * One bitwise column search step.  Records the match vector for a
-     * subsequent commit() and reports the two per-mat signals the chip
-     * controller consumes (section IV-B2).
+     * Stored words of the MSB column of this unit's slot; the column
+     * of scan step s follows s * words-per-column words later.  The
+     * fault-free scan reads them through the run kernels.
+     */
+    const std::uint64_t *
+    scanColumns() const
+    {
+        return array_->columnWords(slot_ * k_);
+    }
+
+    /**
+     * One recorded bitwise column search step (a faulty chip's scan):
+     * writes the match vector and reports the two per-mat signals the
+     * chip controller consumes (section IV-B2).  The sense path
+     * applies the fault model's read disturb.
      *
      * @param step_from_msb 0 scans the MSB column
      * @param search_bit    the reference bit; matching rows are the
      *                      exclusion candidates
      */
     ColumnSearchSignals
-    probe(unsigned step_from_msb, bool search_bit)
+    searchStep(unsigned step_from_msb, bool search_bit,
+               const std::uint64_t *select, std::uint64_t *match) const
     {
-        // A unit whose select latches are all zero contributes
-        // nothing to the wired-OR signals; its selectlines stay
-        // quiet, so the sense pass is skipped.  (select_ is all
-        // zero, so a stale lastMatch_ cannot resurrect rows.)
-        if (survivors_ == 0)
-            return {};
-        const unsigned col = slot_ * k_ + step_from_msb;
-        ColumnSearchSignals sig;
-        if (array_->probeSignals(col, search_bit, select_, sig)) {
-            // Fast path: the match vector is not materialized; a
-            // committing step recomputes it from the stored column
-            // (bit-identical -- see kernels.hh commitSearch).
-            lastProbeCol_ = col;
-            lastProbeBit_ = search_bit;
-            lastProbeFused_ = true;
-            return sig;
-        }
-        lastProbeFused_ = false;
-        return array_->columnSearchInto(col, search_bit, select_,
-                                        lastMatch_);
+        return array_->columnSearchInto(slot_ * k_ + step_from_msb,
+                                        search_bit, select, match);
     }
-
-    /**
-     * Apply the controller's global exclusion decision: when asserted,
-     * the match vector is loaded into the select latches (turning 1s
-     * into 0s for the matched rows).  Keeps the survivors_ cache
-     * current so survivorCount() stays O(1) on either commit path.
-     */
-    void
-    commit(bool global_exclude)
-    {
-        if (global_exclude && survivors_ != 0)
-            applyCommit();
-    }
-
-    /**
-     * Fused commit + survivor count: apply the global decision and
-     * report the rows still selected in a single word pass.
-     */
-    unsigned
-    commitAndCount(bool global_exclude)
-    {
-        if (global_exclude && survivors_ != 0)
-            applyCommit();
-        return survivors_;
-    }
-
-    /**
-     * Fused commit for the chip's SIMD scan loop: recompute the match
-     * vector from the stored column and apply it, independent of any
-     * per-unit probe state.  Only valid when the controller
-     * established that this step's probes all took (or could have
-     * taken) the signals-only path -- SIMD dispatched and no fault
-     * model -- which also lets the probe loop early-exit once the
-     * wired-OR signals saturate without leaving stale state behind.
-     * Bit-identical to commitAndCount(true) after a recorded probe.
-     */
-    unsigned
-    commitFusedAndCount(unsigned step_from_msb, bool search_bit)
-    {
-        if (survivors_ != 0) {
-            survivors_ = array_->commitSearch(
-                slot_ * k_ + step_from_msb, search_bit, select_);
-        }
-        return survivors_;
-    }
-
-    /**
-     * Rows still selected.  Served from the survivors_ cache the
-     * extraction path already maintains (beginExtraction, commit,
-     * commitAndCount all mutate select_ through counting ops), so
-     * callers don't pay an O(words) popcount pass per query.
-     */
-    unsigned
-    survivorCount() const
-    {
-        assert(survivors_ == select_.count());
-        return survivors_;
-    }
-
-    /** Lowest selected physical row (priority encoding), rows() when
-     *  none. */
-    unsigned firstSurvivor() const { return select_.firstSet(); }
 
     /** Flag a logical row so later extractions skip it. */
     void exclude(unsigned row) { excluded_.set(physicalRow(row)); }
@@ -389,19 +324,7 @@ class ArrayUnit
     bool inRange(unsigned row) const
     { return range_.test(physicalRow(row)); }
 
-    const BitVector &select() const { return select_; }
-
   private:
-    /** The commit body shared by commit() and commitAndCount(). */
-    void
-    applyCommit()
-    {
-        survivors_ = lastProbeFused_
-            ? array_->commitSearch(lastProbeCol_, lastProbeBit_,
-                                   select_)
-            : select_.andNotCount(lastMatch_);
-    }
-
     RramArray *array_;
     unsigned slot_;
     unsigned k_;
@@ -411,8 +334,6 @@ class ArrayUnit
     unsigned nextSpare_;
     BitVector range_;
     BitVector excluded_;
-    BitVector select_;
-    BitVector lastMatch_;
     /** Physical rows that failed write-verify (never selectable). */
     BitVector badRows_;
     /** Logical rows whose value is unrecoverable. */
@@ -423,24 +344,6 @@ class ArrayUnit
     /** Fast-path guards: any remap / any bad row recorded. */
     bool remapped_ = false;
     bool faulty_ = false;
-    /**
-     * Select-latch population cache: every mutation of select_ flows
-     * through a fused counting op (beginExtraction, commit,
-     * commitAndCount), so this is always popcount(select_).  Lets
-     * drained units short-circuit their probes and survivorCount()
-     * answer in O(1).
-     */
-    unsigned survivors_ = 0;
-    /**
-     * Column and polarity of the last probe, and whether it took the
-     * signals-only fast path (match vector not materialized).  A
-     * committing step then recomputes the match from the stored
-     * column (applyCommit); the fault path records lastMatch_ and
-     * clears the flag.
-     */
-    unsigned lastProbeCol_ = 0;
-    bool lastProbeBit_ = false;
-    bool lastProbeFused_ = false;
 };
 
 } // namespace rime::rimehw

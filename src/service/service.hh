@@ -14,7 +14,7 @@
  * session, then call start(); the lockstep schedulers then serve the
  * shards in an order that is a pure function of the per-session
  * request scripts.  statDumpJson() of such a run is bit-identical
- * across client-thread counts and RIME_THREADS values.
+ * across client-thread counts and RIME_SIMD values.
  *
  * Lifetime: sessions must not outlive their service.  The service
  * destructor stops every shard and completes all outstanding futures

@@ -25,7 +25,7 @@
  *    device -- and therefore the simulated clock, every deterministic
  *    stat, and every extraction latency histogram -- a pure function
  *    of the session scripts, independent of client thread count and
- *    of RIME_THREADS.  Reserved for reproducible replay; an idle
+ *    of RIME_SIMD.  Reserved for reproducible replay; an idle
  *    open session stalls the round by design, and a session's clients
  *    must keep at least `weight` requests in flight (or close the
  *    session) because a round waits for the session's full budget

@@ -20,6 +20,7 @@
 #include "rimehw/bitvector.hh"
 #include "rimehw/faults.hh"
 #include "rimehw/kernels.hh"
+#include "rimehw/latches.hh"
 #include "rimehw/unit.hh"
 
 using namespace rime;
@@ -139,18 +140,101 @@ TEST(SimdKernels, DispatchModes)
     ModeGuard guard;
     kernels::setMode(kernels::Mode::Scalar);
     EXPECT_STREQ(kernels::isaName(), "scalar");
-    EXPECT_FALSE(kernels::simdEnabled());
+    const kernels::KernelTable *scalar = &kernels::active();
     kernels::setMode(kernels::Mode::Simd);
     if (kernels::simdAvailable()) {
-        EXPECT_TRUE(kernels::simdEnabled());
+        EXPECT_NE(&kernels::active(), scalar);
         EXPECT_STREQ(kernels::isaName(),
                      kernels::availableIsaName());
     } else {
-        EXPECT_FALSE(kernels::simdEnabled());
+        EXPECT_EQ(&kernels::active(), scalar);
         EXPECT_STREQ(kernels::isaName(), "scalar");
     }
     kernels::setMode(kernels::Mode::Auto);
-    EXPECT_EQ(kernels::simdEnabled(), kernels::simdAvailable());
+    EXPECT_EQ(&kernels::active() != scalar, kernels::simdAvailable());
+}
+
+/**
+ * The run kernels of the fault-free scan, against the scalar table
+ * and against the recorded-match pair they replace: over a run of
+ * units with a drained unit in the middle, searchSignalsRun must give
+ * the wired-OR of every live unit's columnSearch signals, and
+ * commitSearchRun must leave each live unit's select equal to
+ * select &= ~match with its survivor count, and the drained unit
+ * untouched.
+ */
+TEST(SimdKernels, RunKernelsMatchScalarAndRecorded)
+{
+    ModeGuard guard;
+    kernels::setMode(kernels::Mode::Scalar);
+    const kernels::KernelTable &ref = kernels::active();
+    kernels::setMode(kernels::Mode::Simd);
+    const kernels::KernelTable &simd = kernels::active();
+
+    constexpr unsigned kUnits = 5;
+    constexpr unsigned kDrained = 2;
+    constexpr unsigned kCols = 3;
+    std::mt19937_64 rng(0x7a5);
+    for (const unsigned n : kWordCounts) {
+        for (int round = 0; round < 8; ++round) {
+            const auto pool = randomWords(rng, kUnits * kCols * n);
+            std::vector<const std::uint64_t *> cols;
+            for (unsigned u = 0; u < kUnits; ++u)
+                cols.push_back(pool.data() + u * kCols * n);
+            auto select = randomWords(rng, kUnits * n);
+            // Dense selects make anyMatch/anyMismatch nontrivial.
+            if (round & 1)
+                for (auto &w : select)
+                    w |= ~(rng() & rng());
+            std::vector<unsigned> survivors(kUnits);
+            for (unsigned u = 0; u < kUnits; ++u) {
+                if (u == kDrained)
+                    ref.fill(select.data() + u * n, 0, n);
+                survivors[u] = ref.popcount(select.data() + u * n, n);
+            }
+            const unsigned offset = (round % kCols) * n;
+
+            for (const bool bit : {false, true}) {
+                // Recorded reference: full walk, match stored.
+                auto selr = select;
+                auto survr = survivors;
+                std::uint64_t totalr = 0;
+                bool any_match = false, any_mismatch = false;
+                std::vector<std::uint64_t> m(n);
+                for (unsigned u = 0; u < kUnits; ++u) {
+                    if (survr[u] == 0)
+                        continue;
+                    std::uint64_t *sel = selr.data() + u * n;
+                    const auto sig = ref.columnSearch(
+                        cols[u] + offset, nullptr, sel, m.data(), n,
+                        bit);
+                    any_match = any_match || sig.anyMatch;
+                    any_mismatch = any_mismatch || sig.anyMismatch;
+                    survr[u] = ref.andNotCount(sel, m.data(), n);
+                    totalr += survr[u];
+                }
+
+                for (const kernels::KernelTable *t : {&ref, &simd}) {
+                    const auto sig = t->searchSignalsRun(
+                        select.data(), cols.data(), offset,
+                        survivors.data(), kUnits, n, bit);
+                    EXPECT_EQ(sig.anyMatch, any_match) << t->name;
+                    EXPECT_EQ(sig.anyMismatch, any_mismatch)
+                        << t->name;
+
+                    auto sel = select;
+                    auto surv = survivors;
+                    EXPECT_EQ(t->commitSearchRun(sel.data(),
+                                                 cols.data(), offset,
+                                                 surv.data(), kUnits,
+                                                 n, bit),
+                              totalr) << t->name;
+                    EXPECT_EQ(sel, selr) << t->name;
+                    EXPECT_EQ(surv, survr) << t->name;
+                }
+            }
+        }
+    }
 }
 
 /** Every kernel table entry point, against the scalar table. */
@@ -331,12 +415,14 @@ TEST(SimdKernels, ColumnSearchMatchesScalar)
         kernels::setMode(kernels::Mode::Scalar);
         BitVector sel0 = randomBits(mk0, 512);
         BitVector m0(512);
-        const auto s0 = array.columnSearchInto(col, bit, sel0, m0);
+        const auto s0 =
+            array.columnSearchInto(col, bit, sel0.words(), m0.words());
 
         kernels::setMode(kernels::Mode::Simd);
         BitVector sel1 = randomBits(mk1, 512);
         BitVector m1(512);
-        const auto s1 = array.columnSearchInto(col, bit, sel1, m1);
+        const auto s1 =
+            array.columnSearchInto(col, bit, sel1.words(), m1.words());
 
         EXPECT_EQ(m0, m1);
         EXPECT_EQ(s0.anyMatch, s1.anyMatch);
@@ -368,9 +454,11 @@ TEST(SimdKernels, ColumnSearchFaultPathMatchesScalar)
         BitVector m0(512), m1(512);
 
         kernels::setMode(kernels::Mode::Scalar);
-        const auto s0 = array.columnSearchInto(col, bit, sel, m0);
+        const auto s0 =
+            array.columnSearchInto(col, bit, sel.words(), m0.words());
         kernels::setMode(kernels::Mode::Simd);
-        const auto s1 = array.columnSearchInto(col, bit, sel, m1);
+        const auto s1 =
+            array.columnSearchInto(col, bit, sel.words(), m1.words());
 
         EXPECT_EQ(m0, m1);
         EXPECT_EQ(s0.anyMatch, s1.anyMatch);
@@ -381,8 +469,8 @@ TEST(SimdKernels, ColumnSearchFaultPathMatchesScalar)
 }
 
 /** Arrays taller than the kernel disturb-gather scratch (16 words)
- *  must fall back to the scalar reference path under SIMD and still
- *  agree with forced-scalar results. */
+ *  fall back to an inline word loop under either table and must
+ *  agree across them. */
 TEST(SimdKernels, TallFaultyArrayFallsBackToScalar)
 {
     ModeGuard guard;
@@ -404,9 +492,11 @@ TEST(SimdKernels, TallFaultyArrayFallsBackToScalar)
         BitVector m0(2048), m1(2048);
 
         kernels::setMode(kernels::Mode::Scalar);
-        const auto s0 = array.columnSearchInto(col, bit, sel, m0);
+        const auto s0 =
+            array.columnSearchInto(col, bit, sel.words(), m0.words());
         kernels::setMode(kernels::Mode::Simd);
-        const auto s1 = array.columnSearchInto(col, bit, sel, m1);
+        const auto s1 =
+            array.columnSearchInto(col, bit, sel.words(), m1.words());
 
         EXPECT_EQ(m0, m1);
         EXPECT_EQ(s0.anyMatch, s1.anyMatch);
@@ -414,49 +504,80 @@ TEST(SimdKernels, TallFaultyArrayFallsBackToScalar)
     }
 }
 
-/** A full bit-serial scan through ArrayUnit: the SIMD unit takes the
- *  signals-only probe and, on alternating steps, the fused commit
- *  (commitFusedAndCount) or the legacy commit after a fused probe
- *  (applyCommit's recompute branch); every step must reproduce the
- *  scalar recorded-match scan's signals, select vector, and survivor
- *  counts. */
-TEST(SimdKernels, FusedUnitScanMatchesRecorded)
+/** A full bit-serial scan through ScanLatches over four units, one
+ *  of them with an empty range (drained from the start): the fused
+ *  run-kernel path under the SIMD table must reproduce, step by step,
+ *  the signals, select latches, and survivor counts of the recorded-
+ *  match path under the scalar table.  Attaching a fault model that
+ *  injects nothing puts the reference units' sense path through the
+ *  disturb gather. */
+TEST(SimdKernels, FusedLatchScanMatchesRecorded)
 {
     ModeGuard guard;
+    constexpr unsigned kUnits = 4;
     std::mt19937_64 rng(0xf00d);
-    RramArray array(512, 64);
-    for (unsigned row = 0; row < 512; ++row)
-        array.writeRowBits(row, 0, 32, rng() & 0xFFFFFFFFULL);
+    const rimehw::FaultModel no_faults{rimehw::FaultParams{}};
+    RramArray recorded(512, 32 * kUnits), fused(512, 32 * kUnits);
+    recorded.attachFaults(&no_faults, 0);
+    for (unsigned row = 0; row < 512; ++row) {
+        for (unsigned slot = 0; slot < kUnits; ++slot) {
+            const std::uint64_t raw = rng() & 0xFFFFFFFFULL;
+            recorded.writeRowBits(row, slot * 32, 32, raw);
+            fused.writeRowBits(row, slot * 32, 32, raw);
+        }
+    }
 
-    rimehw::ArrayUnit unit0(&array, 0, 32);
-    rimehw::ArrayUnit unit1(&array, 0, 32);
-    unit0.setRange(0, 512);
-    unit1.setRange(0, 512);
+    std::vector<rimehw::ArrayUnit> units0, units1;
+    for (unsigned slot = 0; slot < kUnits; ++slot) {
+        units0.emplace_back(&recorded, slot, 32);
+        units1.emplace_back(&fused, slot, 32);
+    }
+    std::vector<rimehw::ArrayUnit *> run0, run1;
+    for (unsigned slot = 0; slot < kUnits; ++slot) {
+        const unsigned end = slot == 1 ? 0 : 512 - 37 * slot;
+        units0[slot].setRange(0, end);
+        units1[slot].setRange(0, end);
+        run0.push_back(&units0[slot]);
+        run1.push_back(&units1[slot]);
+    }
+    rimehw::ScanLatches latches0, latches1;
+    latches0.bind(run0);
+    latches1.bind(run1);
 
     kernels::setMode(kernels::Mode::Scalar);
-    const unsigned b0 = unit0.beginExtraction();
+    const std::uint64_t b0 = latches0.load(run0);
     kernels::setMode(kernels::Mode::Simd);
-    const unsigned b1 = unit1.beginExtraction();
+    const std::uint64_t b1 = latches1.load(run1);
     ASSERT_EQ(b0, b1);
+    ASSERT_EQ(latches1.survivors(1), 0u);
 
     for (unsigned s = 0; s < 32; ++s) {
         const bool bit = rng() & 1;
         kernels::setMode(kernels::Mode::Scalar);
-        const auto p0 = unit0.probe(s, bit);
+        const auto p0 = latches0.probeRecorded(run0, s, bit);
         kernels::setMode(kernels::Mode::Simd);
-        const auto p1 = unit1.probe(s, bit);
+        const auto p1 = latches1.probe(s, bit);
         EXPECT_EQ(p0.anyMatch, p1.anyMatch);
         EXPECT_EQ(p0.anyMismatch, p1.anyMismatch);
+        if (!(p0.anyMatch && p0.anyMismatch))
+            continue;
 
-        const bool exclude = p0.anyMatch && p0.anyMismatch;
         kernels::setMode(kernels::Mode::Scalar);
-        const unsigned n0 = unit0.commitAndCount(exclude);
+        const std::uint64_t n0 = latches0.commitRecorded();
         kernels::setMode(kernels::Mode::Simd);
-        const unsigned n1 = (exclude && (s & 1))
-            ? unit1.commitFusedAndCount(s, bit)
-            : unit1.commitAndCount(exclude);
+        const std::uint64_t n1 = latches1.commit(s, bit);
         EXPECT_EQ(n0, n1);
-        EXPECT_EQ(unit0.select(), unit1.select());
-        EXPECT_EQ(unit0.survivorCount(), unit1.survivorCount());
+        for (unsigned u = 0; u < kUnits; ++u) {
+            EXPECT_EQ(latches0.survivors(u), latches1.survivors(u));
+            for (unsigned w = 0; w < 8; ++w)
+                EXPECT_EQ(latches0.select(u)[w], latches1.select(u)[w]);
+        }
     }
+
+    std::size_t pos0 = 0, pos1 = 0;
+    unsigned row0 = 0, row1 = 0;
+    EXPECT_EQ(latches0.firstSurvivor(pos0, row0),
+              latches1.firstSurvivor(pos1, row1));
+    EXPECT_EQ(pos0, pos1);
+    EXPECT_EQ(row0, row1);
 }

@@ -41,11 +41,6 @@ using namespace rime::net;
 namespace
 {
 
-const bool kSingleThreadedPool = [] {
-    ::setenv("RIME_THREADS", "1", /*overwrite=*/0);
-    return true;
-}();
-
 // ----------------------------------------------------------------------
 // Consistent-hash placement properties
 // ----------------------------------------------------------------------

@@ -198,10 +198,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Equivalence, LargeNFullSortIdentical)
 {
-    // The parallel scan engine makes the exact model affordable well
-    // beyond the seed's 96-value ranges: drain a multi-thousand-value
-    // range and require extraction-by-extraction identity plus exact
-    // statistics agreement with the fast model.
+    // Drain a multi-thousand-value range and require
+    // extraction-by-extraction identity plus exact statistics
+    // agreement with the fast model.
     RimeGeometry g;
     g.chipsPerChannel = 1;
     g.banksPerChip = 4;
@@ -210,7 +209,7 @@ TEST(Equivalence, LargeNFullSortIdentical)
     g.arrayRows = 64;
     g.arrayCols = 64;
 
-    RimeChip chip(g, RimeTimingParams{}, 4);
+    RimeChip chip(g);
     FastRime fast(g);
     chip.configure(16, KeyMode::UnsignedFixed);
     fast.configure(16, KeyMode::UnsignedFixed);

@@ -4,8 +4,8 @@
  * read-disturb chips must either produce exactly correct results
  * (verified writes, verified + confirmed scans, spare-row remaps,
  * spare-unit migration) or explicit errors -- never a silently wrong
- * item.  All of it must stay bit-identical between hostThreads=1 and
- * hostThreads=N, and the API layer must surface health, retire dead
+ * item.  All of it must stay bit-identical between the scalar and SIMD
+ * kernel tables, and the API layer must surface health, retire dead
  * extents from the allocator, and fail loudly on the legacy
  * interface.
  */
@@ -23,6 +23,7 @@
 #include "rime/ops.hh"
 #include "rimehw/chip.hh"
 #include "rimehw/faults.hh"
+#include "rimehw/kernels.hh"
 
 using namespace rime;
 using namespace rime::rimehw;
@@ -150,7 +151,7 @@ TEST(FaultyChip, StuckAtSortExactWithRemaps)
         f.seed = seed;
         f.stuckAt0Rate = 1e-3;
         f.stuckAt1Rate = 1e-3;
-        RimeChip chip(smallGeometry(), RimeTimingParams{}, 1, f);
+        RimeChip chip(smallGeometry(), RimeTimingParams{}, f);
         chip.configure(16, KeyMode::UnsignedFixed);
 
         const std::size_t n = std::min<std::size_t>(
@@ -181,8 +182,8 @@ TEST(FaultyChip, SpareRowsShrinkCapacity)
     FaultParams f;
     f.stuckAt0Rate = 1e-4;
     f.spareRowsPerUnit = 8;
-    RimeChip faulty(smallGeometry(), RimeTimingParams{}, 1, f);
-    RimeChip clean(smallGeometry(), RimeTimingParams{}, 1);
+    RimeChip faulty(smallGeometry(), RimeTimingParams{}, f);
+    RimeChip clean(smallGeometry());
     faulty.configure(16, KeyMode::UnsignedFixed);
     clean.configure(16, KeyMode::UnsignedFixed);
     // 8 of 64 rows per unit are spares and 2 units per chip are spare
@@ -200,7 +201,7 @@ TEST(FaultyChip, WearOutRemapsThenSortStaysExact)
     f.seed = 5;
     f.wearOutBlockWrites = 3000;
     f.wearOutSpread = 0.25;
-    RimeChip chip(smallGeometry(), RimeTimingParams{}, 1, f);
+    RimeChip chip(smallGeometry(), RimeTimingParams{}, f);
     chip.configure(16, KeyMode::UnsignedFixed);
 
     const std::size_t n = 128;
@@ -241,7 +242,7 @@ TEST(FaultyChip, ReadDisturbConfirmedSortExact)
     FaultParams f;
     f.seed = 9;
     f.readDisturbRate = 5e-5;
-    RimeChip chip(smallGeometry(), RimeTimingParams{}, 1, f);
+    RimeChip chip(smallGeometry(), RimeTimingParams{}, f);
     chip.configure(16, KeyMode::UnsignedFixed);
 
     const std::size_t n = 400;
@@ -260,10 +261,10 @@ TEST(FaultyChip, ReadDisturbConfirmedSortExact)
 }
 
 // ---------------------------------------------------------------------
-// Determinism: all fault mechanisms, threads=1 vs threads=N.
+// Determinism: all fault mechanisms, scalar vs SIMD kernel table.
 // ---------------------------------------------------------------------
 
-TEST(FaultyChip, AllMechanismsBitIdenticalAcrossThreads)
+TEST(FaultyChip, AllMechanismsBitIdenticalAcrossKernelModes)
 {
     FaultParams f;
     f.seed = 77;
@@ -271,23 +272,36 @@ TEST(FaultyChip, AllMechanismsBitIdenticalAcrossThreads)
     f.stuckAt1Rate = 5e-4;
     f.readDisturbRate = 5e-5;
     f.wearOutBlockWrites = 3000;
-    RimeChip serial(smallGeometry(), RimeTimingParams{}, 1, f);
-    RimeChip parallel(smallGeometry(), RimeTimingParams{}, 4, f);
-    ASSERT_EQ(serial.hostThreads(), 1u);
-    ASSERT_EQ(parallel.hostThreads(), 4u);
-    serial.configure(16, KeyMode::UnsignedFixed);
-    parallel.configure(16, KeyMode::UnsignedFixed);
+    RimeChip scalar(smallGeometry(), RimeTimingParams{}, f);
+    RimeChip simd(smallGeometry(), RimeTimingParams{}, f);
+    // The kernel table is process-wide: switch it before each chip's
+    // every operation, and restore the RIME_SIMD default at the end.
+    struct RestoreKernelMode
+    {
+        ~RestoreKernelMode() { kernels::setMode(kernels::envMode()); }
+    } restore;
+    const auto onScalar = [&](auto &&fn) {
+        kernels::setMode(kernels::Mode::Scalar);
+        return fn(scalar);
+    };
+    const auto onSimd = [&](auto &&fn) {
+        kernels::setMode(kernels::Mode::Simd);
+        return fn(simd);
+    };
+    const auto both = [&](auto &&fn) {
+        onScalar(fn);
+        onSimd(fn);
+    };
+    both([](RimeChip &c) { c.configure(16, KeyMode::UnsignedFixed); });
 
     const std::size_t n = 300;
     Rng rng(555);
     auto put = [&](std::uint64_t idx, std::uint64_t raw) {
-        serial.writeValue(idx, raw);
-        parallel.writeValue(idx, raw);
+        both([&](RimeChip &c) { c.writeValue(idx, raw); });
     };
     for (std::size_t i = 0; i < n; ++i)
         put(i, rng() & 0xFFFF);
-    serial.initRange(0, n);
-    parallel.initRange(0, n);
+    both([&](RimeChip &c) { c.initRange(0, n); });
 
     for (int step = 0; step < 400; ++step) {
         if (rng.below(5) == 0) {
@@ -295,8 +309,11 @@ TEST(FaultyChip, AllMechanismsBitIdenticalAcrossThreads)
             continue;
         }
         const bool find_max = rng.below(4) == 0;
-        const ExtractResult a = serial.extract(0, n, find_max);
-        const ExtractResult b = parallel.extract(0, n, find_max);
+        const auto extract = [&](RimeChip &c) {
+            return c.extract(0, n, find_max);
+        };
+        const ExtractResult a = onScalar(extract);
+        const ExtractResult b = onSimd(extract);
         ASSERT_EQ(a.status, b.status) << "step " << step;
         ASSERT_EQ(a.found, b.found) << "step " << step;
         if (a.found) {
@@ -306,9 +323,9 @@ TEST(FaultyChip, AllMechanismsBitIdenticalAcrossThreads)
             EXPECT_EQ(a.time, b.time) << "step " << step;
         }
     }
-    expectSameStats(serial, parallel);
-    const HealthCounts ha = serial.healthCounts();
-    const HealthCounts hb = parallel.healthCounts();
+    expectSameStats(scalar, simd);
+    const HealthCounts ha = scalar.healthCounts();
+    const HealthCounts hb = simd.healthCounts();
     EXPECT_EQ(ha.remappedRows, hb.remappedRows);
     EXPECT_EQ(ha.degradedUnits, hb.degradedUnits);
     EXPECT_EQ(ha.retiredUnits, hb.retiredUnits);
@@ -327,7 +344,7 @@ TEST(FaultyChip, BeyondRepairCapacityReportsDataLoss)
     f.stuckAt1Rate = 0.2; // far beyond any provisioned spare capacity
     f.spareRowsPerUnit = 2;
     f.spareUnitsPerChip = 1;
-    RimeChip chip(smallGeometry(), RimeTimingParams{}, 1, f);
+    RimeChip chip(smallGeometry(), RimeTimingParams{}, f);
     chip.configure(16, KeyMode::UnsignedFixed);
 
     const std::size_t n = 200;
@@ -353,12 +370,10 @@ namespace
 {
 
 LibraryConfig
-faultyLibraryConfig(unsigned host_threads, std::uint64_t seed,
-                    double stuck_rate)
+faultyLibraryConfig(std::uint64_t seed, double stuck_rate)
 {
     LibraryConfig cfg;
     cfg.device.bitLevel = true;
-    cfg.device.hostThreads = host_threads;
     cfg.device.faults.seed = seed;
     cfg.device.faults.stuckAt0Rate = stuck_rate;
     cfg.device.faults.stuckAt1Rate = stuck_rate;
@@ -391,7 +406,7 @@ TEST(FaultyApi, StuckAt1e4SortOf64kKeysMatchesStdSortExactly)
 {
     // The acceptance bar: at stuck-at rates up to 1e-4 a full sort of
     // 64k keys through rimeMin matches std::sort exactly -- zero
-    // silent corruption -- and is bit-identical for hostThreads 1 / 4.
+    // silent corruption.
     const std::size_t n = 65536;
     for (const std::uint64_t seed : {3ULL, 11ULL}) {
         Rng rng(24000 + seed);
@@ -399,27 +414,21 @@ TEST(FaultyApi, StuckAt1e4SortOf64kKeysMatchesStdSortExactly)
         for (auto &k : keys)
             k = rng() & 0xFFFFFFFFULL;
 
-        const auto parallel =
-            apiSort(faultyLibraryConfig(4, seed, 1e-4), keys);
-        ASSERT_EQ(parallel.size(), n) << "seed " << seed;
+        const auto sorted =
+            apiSort(faultyLibraryConfig(seed, 1e-4), keys);
+        ASSERT_EQ(sorted.size(), n) << "seed " << seed;
 
         std::vector<std::uint64_t> expect = keys;
         std::sort(expect.begin(), expect.end());
         for (std::size_t i = 0; i < n; ++i)
-            ASSERT_EQ(parallel[i].first, expect[i])
+            ASSERT_EQ(sorted[i].first, expect[i])
                 << "seed " << seed << " rank " << i;
-
-        if (seed == 3) {
-            const auto serial =
-                apiSort(faultyLibraryConfig(1, seed, 1e-4), keys);
-            ASSERT_EQ(serial, parallel);
-        }
     }
 }
 
 TEST(FaultyApi, BeyondCapacityChecksAndLegacyFatal)
 {
-    LibraryConfig cfg = faultyLibraryConfig(2, 4, 0.0);
+    LibraryConfig cfg = faultyLibraryConfig(4, 0.0);
     cfg.device.faults.stuckAt1Rate = 0.2;
     cfg.device.faults.spareRowsPerUnit = 2;
     cfg.device.faults.spareUnitsPerChip = 1;
@@ -455,7 +464,7 @@ TEST(FaultyApi, BeyondCapacityChecksAndLegacyFatal)
 
 TEST(FaultyApi, HealthyDeviceReportsPristine)
 {
-    RimeLibrary lib(faultyLibraryConfig(2, 1, 1e-5));
+    RimeLibrary lib(faultyLibraryConfig(1, 1e-5));
     const auto addr = lib.rimeMalloc(4096);
     ASSERT_TRUE(addr.has_value());
     const RimeHealthReport health = lib.rimeHealth();
@@ -489,8 +498,7 @@ TEST(FaultyApi, StatusNamesAreStable)
 TEST(FaultyKernels, TopKExactAtStuckAt1e4)
 {
     // rimeTopK over a stuck-at device (rate 1e-4) must match the
-    // std::sort prefix exactly, in both directions, and be
-    // bit-identical between hostThreads 1 and 4.
+    // std::sort prefix exactly, in both directions.
     const std::size_t n = 16384;
     const std::uint64_t count = 256;
     Rng rng(31000);
@@ -501,7 +509,7 @@ TEST(FaultyKernels, TopKExactAtStuckAt1e4)
     std::sort(expect.begin(), expect.end());
 
     for (const bool largest : {false, true}) {
-        RimeLibrary lib(faultyLibraryConfig(4, 7, 1e-4));
+        RimeLibrary lib(faultyLibraryConfig(7, 1e-4));
         const KernelResult r = rimeTopK(lib, keys, count, largest,
                                         KeyMode::UnsignedFixed);
         ASSERT_EQ(r.values.size(), count) << "largest=" << largest;
@@ -512,13 +520,6 @@ TEST(FaultyKernels, TopKExactAtStuckAt1e4)
                 << "largest=" << largest << " rank " << i;
         }
         EXPECT_EQ(lib.rimeHealth().counts.lostValues, 0u);
-
-        RimeLibrary serial(faultyLibraryConfig(1, 7, 1e-4));
-        const KernelResult s = rimeTopK(serial, keys, count, largest,
-                                        KeyMode::UnsignedFixed);
-        EXPECT_EQ(s.values, r.values);
-        EXPECT_DOUBLE_EQ(s.seconds, r.seconds);
-        EXPECT_DOUBLE_EQ(s.energyPJ, r.energyPJ);
     }
 }
 
@@ -538,18 +539,13 @@ TEST(FaultyKernels, MergeKExactAtStuckAt1e4)
     }
     std::sort(expect.begin(), expect.end());
 
-    RimeLibrary lib(faultyLibraryConfig(4, 13, 1e-4));
+    RimeLibrary lib(faultyLibraryConfig(13, 1e-4));
     const KernelResult r =
         rimeMergeK(lib, sets, KeyMode::UnsignedFixed);
     ASSERT_EQ(r.values.size(), expect.size());
     for (std::size_t i = 0; i < expect.size(); ++i)
         ASSERT_EQ(r.values[i], expect[i]) << "rank " << i;
     EXPECT_EQ(lib.rimeHealth().counts.lostValues, 0u);
-
-    RimeLibrary serial(faultyLibraryConfig(1, 13, 1e-4));
-    const KernelResult s =
-        rimeMergeK(serial, sets, KeyMode::UnsignedFixed);
-    EXPECT_EQ(s.values, r.values);
 }
 
 TEST(FaultyKernels, BeyondRepairCapacityFailsLoudly)
@@ -557,7 +553,7 @@ TEST(FaultyKernels, BeyondRepairCapacityFailsLoudly)
     // With faults far past the provisioned spares, the kernels must
     // refuse with an explicit data-loss error -- not return a stream
     // with silently wrong or missing values.
-    LibraryConfig cfg = faultyLibraryConfig(2, 4, 0.0);
+    LibraryConfig cfg = faultyLibraryConfig(4, 0.0);
     cfg.device.faults.stuckAt1Rate = 0.2;
     cfg.device.faults.spareRowsPerUnit = 2;
     cfg.device.faults.spareUnitsPerChip = 1;

@@ -3,8 +3,8 @@
  * Tests of the observability layer: histogram stats, the stat
  * registry (merge/reset/dump round-trips), the Chrome-tracing span
  * tracer, the strict environment parsers, the ThreadPool reentrancy
- * guard, and the determinism contract -- stat dumps are bit-identical
- * for any host thread count.
+ * guard, and the determinism contract -- deterministic stat dumps
+ * leave out host wall-clock stats.
  */
 
 #include <gtest/gtest.h>
@@ -541,38 +541,34 @@ TEST(Library, RegistryTreeAndPublishOnce)
 }
 
 // ---------------------------------------------------------------------
-// Determinism: stat dumps bit-identical across host thread counts
+// Determinism: stat dumps leave out host wall-clock stats
 // ---------------------------------------------------------------------
 
-TEST(Determinism, ChipStatDumpIdenticalAcrossThreadCounts)
+TEST(Determinism, ChipStatDumpExcludesWallClock)
 {
-    const auto run = [](unsigned threads) {
-        rimehw::RimeGeometry g;
-        g.banksPerChip = 4;
-        g.subbanksPerBank = 8;
-        rimehw::RimeChip chip(g, rimehw::RimeTimingParams{}, threads);
-        chip.configure(32, KeyMode::UnsignedFixed);
-        Rng rng(7);
-        const std::uint64_t n = 2048;
-        for (std::uint64_t i = 0; i < n; ++i)
-            chip.writeValue(i, rng() & 0xFFFFFFFF);
-        chip.initRange(0, n);
-        for (int i = 0; i < 6; ++i) {
-            const auto r = chip.extract(0, n, false);
-            EXPECT_TRUE(r.found);
-        }
-        StatRegistry reg;
-        reg.attach("chip", chip.stats());
-        std::ostringstream os;
-        reg.dumpJson(os);
-        return os.str();
-    };
-    const std::string serial = run(1);
-    const std::string parallel = run(4);
-    EXPECT_EQ(serial, parallel);
-    EXPECT_TRUE(JsonValidator(serial).valid());
+    rimehw::RimeGeometry g;
+    g.banksPerChip = 4;
+    g.subbanksPerBank = 8;
+    rimehw::RimeChip chip(g);
+    chip.configure(32, KeyMode::UnsignedFixed);
+    Rng rng(7);
+    const std::uint64_t n = 2048;
+    for (std::uint64_t i = 0; i < n; ++i)
+        chip.writeValue(i, rng() & 0xFFFFFFFF);
+    chip.initRange(0, n);
+    for (int i = 0; i < 6; ++i) {
+        const auto r = chip.extract(0, n, false);
+        EXPECT_TRUE(r.found);
+    }
+    EXPECT_GT(chip.stats().get("scanWallNs"), 0.0);
+    StatRegistry reg;
+    reg.attach("chip", chip.stats());
+    std::ostringstream os;
+    reg.dumpJson(os);
+    const std::string dump = os.str();
+    EXPECT_TRUE(JsonValidator(dump).valid());
     // The wall-clock stat was recorded but must not appear.
-    EXPECT_EQ(serial.find("WallNs"), std::string::npos);
-    EXPECT_NE(serial.find("scanSurvivors"), std::string::npos);
-    EXPECT_NE(serial.find("scanStepsPerExtract"), std::string::npos);
+    EXPECT_EQ(dump.find("WallNs"), std::string::npos);
+    EXPECT_NE(dump.find("scanSurvivors"), std::string::npos);
+    EXPECT_NE(dump.find("scanStepsPerExtract"), std::string::npos);
 }

@@ -1,12 +1,13 @@
 /**
  * @file
- * Determinism tests of the parallel scan engine: a bit-level RimeChip
- * driven with threads=1 must be *bit-identical* to one driven with
- * threads=N -- every ExtractResult field, every StatGroup counter,
- * and the accumulated energy -- across randomized workloads with
- * min/max extractions, live stores, sub-ranges, and re-inits.  Also
- * covers the word-parallel BitVector range operations the scan path
- * now relies on, and the thread pool itself.
+ * Chip-level equivalence of the two kernel tables: a bit-level
+ * RimeChip scanning on the scalar reference kernels must be
+ * *bit-identical* to one scanning on the SIMD kernels -- every
+ * ExtractResult field, every StatGroup counter, and the accumulated
+ * energy -- across randomized workloads with min/max extractions,
+ * live stores, sub-ranges, and re-inits.  Also covers the
+ * word-parallel BitVector range operations the scan path relies on,
+ * and the thread pool the figure sweeps run on.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "rimehw/chip.hh"
+#include "rimehw/kernels.hh"
 
 using namespace rime;
 using namespace rime::rimehw;
@@ -25,9 +27,9 @@ using namespace rime::rimehw;
 namespace
 {
 
-/** Enough units (64 rows x 32+ units) that shards are non-trivial. */
+/** Enough units (64 rows x 32+ units) that scans span many mats. */
 RimeGeometry
-shardedGeometry()
+multiUnitGeometry()
 {
     RimeGeometry g;
     g.chipsPerChannel = 1;
@@ -68,44 +70,76 @@ expectSameStats(const RimeChip &a, const RimeChip &b)
     EXPECT_DOUBLE_EQ(a.energyPJ(), b.energyPJ());
 }
 
+/**
+ * Two chips fed the same operations, one on each kernel table.  The
+ * table is process-wide, so each call re-dispatches before touching
+ * its chip; the destructor restores the RIME_SIMD default.
+ */
+struct KernelPair
+{
+    RimeChip scalar{multiUnitGeometry()};
+    RimeChip simd{multiUnitGeometry()};
+
+    ~KernelPair() { kernels::setMode(kernels::envMode()); }
+
+    template <typename Fn>
+    auto
+    onScalar(Fn &&fn)
+    {
+        kernels::setMode(kernels::Mode::Scalar);
+        return fn(scalar);
+    }
+
+    template <typename Fn>
+    auto
+    onSimd(Fn &&fn)
+    {
+        kernels::setMode(kernels::Mode::Simd);
+        return fn(simd);
+    }
+
+    /** Apply a state-changing operation to both chips. */
+    template <typename Fn>
+    void
+    both(Fn &&fn)
+    {
+        onScalar(fn);
+        onSimd(fn);
+    }
+};
+
 struct ModeCase
 {
     KeyMode mode;
     unsigned k;
-    unsigned threads;
 };
 
-class ParallelDeterminism : public ::testing::TestWithParam<ModeCase>
+class KernelModeEquivalence : public ::testing::TestWithParam<ModeCase>
 {};
 
 } // namespace
 
-TEST_P(ParallelDeterminism, RandomWorkloadBitIdentical)
+TEST_P(KernelModeEquivalence, RandomWorkloadBitIdentical)
 {
-    const auto [mode, k, threads] = GetParam();
-    RimeChip serial(shardedGeometry(), RimeTimingParams{}, 1);
-    RimeChip parallel(shardedGeometry(), RimeTimingParams{}, threads);
-    ASSERT_EQ(serial.hostThreads(), 1u);
-    ASSERT_EQ(parallel.hostThreads(), threads);
-    serial.configure(k, mode);
-    parallel.configure(k, mode);
+    const auto [mode, k] = GetParam();
+    KernelPair chips;
+    chips.both([&](RimeChip &c) { c.configure(k, mode); });
 
     const std::size_t n = std::min<std::size_t>(
-        768, serial.valueCapacity());
-    Rng rng(4200 + k + 17 * threads);
+        768, chips.scalar.valueCapacity());
+    Rng rng(4200 + k);
     const std::uint64_t mask = k >= 64 ? ~0ULL : (1ULL << k) - 1;
     auto put = [&](std::uint64_t idx, std::uint64_t raw) {
-        serial.writeValue(idx, raw);
-        parallel.writeValue(idx, raw);
+        chips.both([&](RimeChip &c) { c.writeValue(idx, raw); });
     };
     for (std::size_t i = 0; i < n; ++i)
         put(i, rng() & mask);
 
     const std::uint64_t mid = n / 2;
-    serial.initRange(0, mid);
-    parallel.initRange(0, mid);
-    serial.initRange(mid, n);
-    parallel.initRange(mid, n);
+    chips.both([&](RimeChip &c) {
+        c.initRange(0, mid);
+        c.initRange(mid, n);
+    });
 
     for (int step = 0; step < 500; ++step) {
         const unsigned action = static_cast<unsigned>(rng.below(6));
@@ -115,83 +149,77 @@ TEST_P(ParallelDeterminism, RandomWorkloadBitIdentical)
         switch (action) {
           case 0:
           case 1:
-            expectSameResult(serial.extract(b, e, false),
-                             parallel.extract(b, e, false), step);
+          case 2: {
+            const bool find_max = action == 2;
+            const auto extract = [&](RimeChip &c) {
+                return c.extract(b, e, find_max);
+            };
+            expectSameResult(chips.onScalar(extract),
+                             chips.onSimd(extract), step);
             break;
-          case 2:
-            expectSameResult(serial.extract(b, e, true),
-                             parallel.extract(b, e, true), step);
-            break;
+          }
           case 3: {
             // Live store into the active range.
             const std::uint64_t idx = b + rng.below(e - b);
             put(idx, rng() & mask);
             break;
           }
-          case 4:
-            ASSERT_EQ(serial.remainingInRange(b, e),
-                      parallel.remainingInRange(b, e)) << step;
+          case 4: {
+            const auto remaining = [&](RimeChip &c) {
+                return c.remainingInRange(b, e);
+            };
+            ASSERT_EQ(chips.onScalar(remaining),
+                      chips.onSimd(remaining)) << step;
             break;
+          }
           case 5:
-            if (rng.below(8) == 0) {
-                serial.initRange(b, e);
-                parallel.initRange(b, e);
-            }
+            if (rng.below(8) == 0)
+                chips.both([&](RimeChip &c) { c.initRange(b, e); });
             break;
         }
     }
-    expectSameStats(serial, parallel);
+    expectSameStats(chips.scalar, chips.simd);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllModes, ParallelDeterminism,
-    ::testing::Values(ModeCase{KeyMode::UnsignedFixed, 16, 4},
-                      ModeCase{KeyMode::UnsignedFixed, 32, 4},
-                      ModeCase{KeyMode::SignedFixed, 16, 4},
-                      ModeCase{KeyMode::SignedFixed, 32, 4},
-                      ModeCase{KeyMode::Float, 32, 4},
-                      ModeCase{KeyMode::UnsignedFixed, 16, 3},
-                      ModeCase{KeyMode::SignedFixed, 32, 7}),
+    AllModes, KernelModeEquivalence,
+    ::testing::Values(ModeCase{KeyMode::UnsignedFixed, 16},
+                      ModeCase{KeyMode::UnsignedFixed, 32},
+                      ModeCase{KeyMode::SignedFixed, 16},
+                      ModeCase{KeyMode::SignedFixed, 32},
+                      ModeCase{KeyMode::Float, 32}),
     [](const auto &info) {
         const char *m =
             info.param.mode == KeyMode::UnsignedFixed ? "U"
             : info.param.mode == KeyMode::SignedFixed ? "S" : "F";
-        return std::string(m) + std::to_string(info.param.k) + "x" +
-            std::to_string(info.param.threads);
+        return std::string(m) + std::to_string(info.param.k);
     });
 
-TEST(ParallelDeterminism, FullDrainIdenticalAcrossWidths)
+TEST(KernelModeEquivalence, FullDrainBitIdentical)
 {
-    // Drain an entire range with every thread count; all sequences
-    // and final stats must match the serial run exactly.
-    RimeChip serial(shardedGeometry(), RimeTimingParams{}, 1);
-    serial.configure(16, KeyMode::UnsignedFixed);
+    // Drain an entire range to empty on each kernel table; the
+    // extraction sequences and final stats must match exactly.
+    KernelPair chips;
     const std::size_t n = std::min<std::size_t>(
-        512, serial.valueCapacity());
+        512, chips.scalar.valueCapacity());
     Rng rng(77);
     std::vector<std::uint64_t> raws(n);
     for (auto &r : raws)
         r = rng() & 0xFFFF;
-
-    std::vector<ExtractResult> expect;
-    for (std::size_t i = 0; i < n; ++i)
-        serial.writeValue(i, raws[i]);
-    serial.initRange(0, n);
-    for (std::size_t i = 0; i < n; ++i)
-        expect.push_back(serial.extract(0, n, false));
-
-    for (const unsigned threads : {2u, 4u, 8u}) {
-        RimeChip chip(shardedGeometry(), RimeTimingParams{}, threads);
-        chip.configure(16, KeyMode::UnsignedFixed);
+    chips.both([&](RimeChip &c) {
+        c.configure(16, KeyMode::UnsignedFixed);
         for (std::size_t i = 0; i < n; ++i)
-            chip.writeValue(i, raws[i]);
-        chip.initRange(0, n);
-        for (std::size_t i = 0; i < n; ++i) {
-            expectSameResult(expect[i], chip.extract(0, n, false),
-                             static_cast<int>(i));
-        }
-        expectSameStats(serial, chip);
+            c.writeValue(i, raws[i]);
+        c.initRange(0, n);
+    });
+    const auto extract = [&](RimeChip &c) {
+        return c.extract(0, n, false);
+    };
+    for (std::size_t i = 0; i <= n; ++i) {
+        expectSameResult(chips.onScalar(extract), chips.onSimd(extract),
+                         static_cast<int>(i));
     }
+    expectSameStats(chips.scalar, chips.simd);
 }
 
 TEST(BitVectorRanges, WordParallelSetAndClearMatchBitLoops)
@@ -246,42 +274,6 @@ TEST(ThreadPool, RunsEveryTaskExactlyOnce)
     std::vector<std::atomic<int>> hits(257);
     pool.run(257, [&](unsigned t) {
         hits[t].fetch_add(1, std::memory_order_relaxed);
-    });
-    for (const auto &h : hits)
-        EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, DeterministicReductionIsOrderPreserving)
-{
-    // String concatenation is non-commutative: identical output for
-    // every shard/thread combination proves the reduction order.
-    const std::size_t n = 100;
-    std::string expect;
-    for (std::size_t i = 0; i < n; ++i)
-        expect += std::to_string(i) + ",";
-    for (const unsigned threads : {1u, 2u, 5u, 8u}) {
-        ThreadPool pool(threads);
-        const std::string got = parallelReduce(
-            pool, n, threads, std::string(),
-            [](std::size_t lo, std::size_t hi, unsigned) {
-                std::string s;
-                for (std::size_t i = lo; i < hi; ++i)
-                    s += std::to_string(i) + ",";
-                return s;
-            },
-            [](std::string a, const std::string &b) { return a + b; });
-        EXPECT_EQ(got, expect) << threads << " threads";
-    }
-}
-
-TEST(ThreadPool, ShardBoundsCoverWithoutOverlap)
-{
-    ThreadPool pool(3);
-    std::vector<std::atomic<int>> hits(1000);
-    pool.forShards(1000, 3, [&](std::size_t lo, std::size_t hi,
-                                unsigned) {
-        for (std::size_t i = lo; i < hi; ++i)
-            hits[i].fetch_add(1, std::memory_order_relaxed);
     });
     for (const auto &h : hits)
         EXPECT_EQ(h.load(), 1);

@@ -15,9 +15,7 @@
  *
  * Re-exec (not bare fork) keeps the child's crash-spec parsing and
  * hit counters pristine; the parent never sets the crash variables in
- * its own environment.  RIME_THREADS is pinned to 1 before anything
- * touches the global pool so the brief fork-to-exec window never
- * races worker threads.
+ * its own environment.
  *
  * The failover half runs in-process: drainShard() must re-home live
  * sessions with their values, extraction progress, and address space
@@ -57,14 +55,6 @@ using namespace rime::service;
 
 namespace
 {
-
-// The controller threads of a service under test are fine, but the
-// *global* scan pool must stay workerless so fork() has no foreign
-// threads to lose: with RIME_THREADS=1 the pool runs inline.
-const bool kSingleThreadedPool = [] {
-    ::setenv("RIME_THREADS", "1", 1);
-    return true;
-}();
 
 // ---------------------------------------------------------------------
 // The deterministic script both the child and the reference run.

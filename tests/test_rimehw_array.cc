@@ -1,10 +1,13 @@
-/** @file Unit tests for BitVector, RramArray, and ArrayUnit. */
+/** @file Unit tests for BitVector, RramArray, ArrayUnit, and ScanLatches. */
+
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
 #include "rimehw/array.hh"
 #include "rimehw/bitvector.hh"
+#include "rimehw/latches.hh"
 #include "rimehw/unit.hh"
 
 using namespace rime;
@@ -121,18 +124,23 @@ TEST(ArrayUnit, SelectAndExclusionLatches)
         unit.writeValue(row, row + 1);
     unit.setRange(2, 6);
     unit.clearExclusions(0, 8);
-    unit.beginExtraction();
-    EXPECT_EQ(unit.survivorCount(), 4u);
-    EXPECT_EQ(unit.firstSurvivor(), 2u);
+    const std::vector<ArrayUnit *> run{&unit};
+    ScanLatches latches;
+    latches.bind(run);
+    std::size_t pos = 0;
+    unsigned row = 0;
+    EXPECT_EQ(latches.load(run), 4u);
+    EXPECT_EQ(latches.survivors(0), 4u);
+    ASSERT_TRUE(latches.firstSurvivor(pos, row));
+    EXPECT_EQ(row, 2u);
 
     unit.exclude(2);
-    unit.beginExtraction();
-    EXPECT_EQ(unit.survivorCount(), 3u);
-    EXPECT_EQ(unit.firstSurvivor(), 3u);
+    EXPECT_EQ(latches.load(run), 3u);
+    ASSERT_TRUE(latches.firstSurvivor(pos, row));
+    EXPECT_EQ(row, 3u);
 
     unit.clearExclusions(0, 8);
-    unit.beginExtraction();
-    EXPECT_EQ(unit.survivorCount(), 4u);
+    EXPECT_EQ(latches.load(run), 4u);
 }
 
 TEST(ArrayUnit, ProbeAndCommit)
@@ -144,19 +152,36 @@ TEST(ArrayUnit, ProbeAndCommit)
         unit.writeValue(row, row + 4);
     unit.setRange(0, 8);
     unit.clearExclusions(0, 8);
-    unit.beginExtraction();
+    const std::vector<ArrayUnit *> run{&unit};
+    ScanLatches fused, recorded;
+    fused.bind(run);
+    recorded.bind(run);
+    fused.load(run);
+    recorded.load(run);
 
     // Bit 3 (step 4 from the MSB of an 8-bit word): values 8..11 have
     // it set.
-    const auto probe = unit.probe(4, true);
-    EXPECT_TRUE(probe.anyMatch);
-    EXPECT_TRUE(probe.anyMismatch);
-    unit.commit(true);
-    EXPECT_EQ(unit.survivorCount(), 4u); // 4..7 remain
-    EXPECT_EQ(unit.firstSurvivor(), 0u);
+    for (const auto &probe :
+         {fused.probe(4, true), recorded.probeRecorded(run, 4, true)}) {
+        EXPECT_TRUE(probe.anyMatch);
+        EXPECT_TRUE(probe.anyMismatch);
+    }
+    EXPECT_EQ(fused.commit(4, true), 4u); // 4..7 remain
+    EXPECT_EQ(recorded.commitRecorded(), 4u);
+    for (const ScanLatches *latches : {&fused, &recorded}) {
+        std::size_t pos = 0;
+        unsigned row = 0;
+        ASSERT_TRUE(latches->firstSurvivor(pos, row));
+        EXPECT_EQ(row, 0u);
+        EXPECT_EQ(latches->select(0)[0], 0x0Fu);
+    }
 
-    // Without a commit the selection is unchanged.
-    unit.probe(5, true);
-    unit.commit(false);
-    EXPECT_EQ(unit.survivorCount(), 4u);
+    // Bit 1 splits 4..7 again; a drained unit adds nothing.
+    const auto split = fused.probe(6, true);
+    EXPECT_TRUE(split.anyMatch && split.anyMismatch);
+    unit.setRange(0, 0);
+    fused.load(run);
+    const auto quiet = fused.probe(6, true);
+    EXPECT_FALSE(quiet.anyMatch || quiet.anyMismatch);
+    EXPECT_EQ(fused.commit(6, true), 0u);
 }

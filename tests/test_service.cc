@@ -3,12 +3,12 @@
  * Serving-layer tests: the multi-tenant RimeService must (a) produce
  * the same per-session extraction sequences no matter how many client
  * threads drive it, (b) produce bit-identical deterministic stat dumps
- * under the lockstep scheduler across RIME_THREADS and client-thread
- * counts, (c) shed load with immediate Rejected completions instead of
- * ever blocking on the device, and (d) isolate tenants (ownership,
- * reconfiguration, close-time reclamation).  The controller-affinity
- * guard of the underlying library and the service's foundation pieces
- * (bounded queue, shared thread pool) are covered here too.
+ * under the lockstep scheduler across client-thread counts, (c) shed
+ * load with immediate Rejected completions instead of ever blocking
+ * on the device, and (d) isolate tenants (ownership, reconfiguration,
+ * close-time reclamation).  The controller-affinity guard of the
+ * underlying library and the service's foundation pieces (bounded
+ * queue, shared thread pool) are covered here too.
  */
 
 #include <gtest/gtest.h>
@@ -134,9 +134,8 @@ TEST(BoundedQueue, BlockingPopAndPushHandOff)
 
 TEST(ThreadPoolService, ConcurrentExternalCallersSerialize)
 {
-    // Several shard controllers share the global pool; concurrent
-    // run() calls from distinct threads must serialize, not panic or
-    // lose tasks.
+    // Concurrent run() calls from distinct threads on one pool must
+    // serialize, not panic or lose tasks.
     ThreadPool pool(4);
     std::atomic<std::uint64_t> total{0};
     std::vector<std::thread> callers;
@@ -425,13 +424,11 @@ namespace
  * `batch_ops` != 0 overrides the group-commit batch size.
  */
 std::string
-lockstepSoakDump(unsigned host_threads, unsigned client_groups,
-                 std::size_t batch_ops = 0)
+lockstepSoakDump(unsigned client_groups, std::size_t batch_ops = 0)
 {
     ServiceConfig cfg;
     cfg.shards = 2;
     cfg.library.device.bitLevel = true;
-    cfg.library.device.hostThreads = host_threads;
     cfg.scheduler.deterministic = true;
     cfg.scheduler.queueCapacity = 64;
     cfg.scheduler.maxBatch = 8;
@@ -530,9 +527,8 @@ lockstepSoakDump(unsigned host_threads, unsigned client_groups,
 TEST(ServiceDeterminism, LockstepStatDumpBitIdentical)
 {
     // The acceptance bar: the deterministic stat dump of a seeded
-    // lockstep soak is byte-identical across RIME_THREADS-style host
-    // thread counts *and* across client-thread counts.
-    const std::string base = lockstepSoakDump(1, 1);
+    // lockstep soak is byte-identical across client-thread counts.
+    const std::string base = lockstepSoakDump(1);
     EXPECT_FALSE(base.empty());
     EXPECT_NE(base.find("\"service\""), std::string::npos);
     EXPECT_NE(base.find("\"alpha\""), std::string::npos);
@@ -540,9 +536,8 @@ TEST(ServiceDeterminism, LockstepStatDumpBitIdentical)
         << "host-dependent stats leaked into the deterministic dump";
     EXPECT_EQ(base.find("WallNs"), std::string::npos);
 
-    EXPECT_EQ(lockstepSoakDump(1, 2), base) << "client threads leaked";
-    EXPECT_EQ(lockstepSoakDump(4, 1), base) << "host threads leaked";
-    EXPECT_EQ(lockstepSoakDump(4, 4), base);
+    EXPECT_EQ(lockstepSoakDump(2), base) << "client threads leaked";
+    EXPECT_EQ(lockstepSoakDump(4), base) << "client threads leaked";
 }
 
 TEST(ServiceDeterminism, GroupCommitBatchSizeIsInvisibleInLockstep)
@@ -550,12 +545,12 @@ TEST(ServiceDeterminism, GroupCommitBatchSizeIsInvisibleInLockstep)
     // Group commit changes *when* completions are delivered, never
     // what they contain: the deterministic dump and every extracted
     // value must be byte-identical whether completions flush one at a
-    // time or in deferred batches of 32, including with host threads
-    // and concurrent clients in play.
-    const std::string base = lockstepSoakDump(1, 1, /*batch_ops=*/1);
-    EXPECT_EQ(lockstepSoakDump(1, 1, 32), base)
+    // time or in deferred batches of 32, including with concurrent
+    // clients in play.
+    const std::string base = lockstepSoakDump(1, /*batch_ops=*/1);
+    EXPECT_EQ(lockstepSoakDump(1, 32), base)
         << "batchOps leaked into deterministic state or results";
-    EXPECT_EQ(lockstepSoakDump(4, 2, 32), base);
+    EXPECT_EQ(lockstepSoakDump(2, 32), base);
 }
 
 // ---------------------------------------------------------------------

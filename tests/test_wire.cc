@@ -18,9 +18,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +32,7 @@
 #include "common/fdio.hh"
 #include "common/rng.hh"
 #include "net/client.hh"
+#include "net/poller.hh"
 #include "net/server.hh"
 #include "net/socket.hh"
 #include "service/service.hh"
@@ -41,15 +45,6 @@ namespace wire = rime::service::wire;
 
 namespace
 {
-
-// Default the global scan pool to inline -- but let CI override with
-// RIME_THREADS=N: the lockstep test's wire-vs-in-process stat dump
-// comparison must hold for any pool size, and the CI wire smoke runs
-// it at 1 and 4 threads.
-const bool kSingleThreadedPool = [] {
-    ::setenv("RIME_THREADS", "1", /*overwrite=*/0);
-    return true;
-}();
 
 constexpr std::size_t kKeys = 48;
 constexpr std::uint64_t kRangeBytes = kKeys * sizeof(std::uint32_t);
@@ -331,6 +326,80 @@ TEST(WireCodec, MessageKindsRoundTrip)
                       msg.resp.items[i].index);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Event-loop waker: no lost wakeups.
+// ---------------------------------------------------------------------
+
+TEST(WakePipe, PingPongWithInfiniteTimeoutNeverStalls)
+{
+    // Waker threads ping-pong with a loop that sleeps in poll() with
+    // no timeout, so a lost wake -- the waker flag left armed over an
+    // empty pipe -- hangs the loop instead of merely slowing it.  Each
+    // waker posts a request, wakes the loop, and waits for the loop to
+    // serve it.  A waker that waits a whole second reports a stall;
+    // the test then frees the loop through a separate stop pipe.
+    constexpr unsigned kWakers = 4;
+    constexpr std::uint64_t kRounds = 20000;
+    WakePipe waker;
+    ASSERT_TRUE(waker.ok());
+    int stop[2];
+    ASSERT_EQ(::pipe(stop), 0);
+
+    std::atomic<std::uint64_t> requested{0};
+    std::mutex mu;
+    std::condition_variable served_cv;
+    std::uint64_t served = 0; // guarded by mu
+    std::atomic<bool> stalled{false};
+
+    std::thread loop([&] {
+        Poller poller;
+        while (true) {
+            poller.clear();
+            const std::size_t wake_slot =
+                poller.add(waker.readFd(), true, false);
+            const std::size_t stop_slot = poller.add(stop[0], true, false);
+            if (poller.wait(-1) < 0 || poller.readable(stop_slot))
+                return;
+            if (!poller.readable(wake_slot))
+                continue;
+            waker.drain();
+            // Serve every request posted before the drain.
+            const std::uint64_t upto = requested.load();
+            {
+                std::lock_guard<std::mutex> lock(mu);
+                served = upto;
+            }
+            served_cv.notify_all();
+        }
+    });
+
+    std::vector<std::thread> wakers;
+    for (unsigned w = 0; w < kWakers; ++w) {
+        wakers.emplace_back([&] {
+            for (std::uint64_t r = 0; r < kRounds && !stalled; ++r) {
+                const std::uint64_t mine = requested.fetch_add(1) + 1;
+                waker.wake();
+                std::unique_lock<std::mutex> lock(mu);
+                if (!served_cv.wait_for(lock, std::chrono::seconds(1),
+                                        [&] { return served >= mine; }))
+                    stalled = true;
+            }
+        });
+    }
+    for (auto &t : wakers)
+        t.join();
+    const char byte = 1;
+    ASSERT_EQ(::write(stop[1], &byte, 1), 1);
+    loop.join();
+    ::close(stop[0]);
+    ::close(stop[1]);
+
+    EXPECT_FALSE(stalled)
+        << "lost wakeup: the loop slept on an armed, empty pipe after "
+        << served << " of " << requested.load() << " requests";
+    EXPECT_EQ(served, std::uint64_t(kWakers) * kRounds);
 }
 
 // ---------------------------------------------------------------------
