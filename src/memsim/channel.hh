@@ -9,7 +9,6 @@
 #define RIME_MEMSIM_CHANNEL_HH
 
 #include <array>
-#include <deque>
 #include <vector>
 
 #include "common/stats.hh"
@@ -23,7 +22,11 @@ namespace rime::memsim
 /** Per-rank bookkeeping for the rolling four-activate tFAW window. */
 struct RankState
 {
-    std::deque<Tick> recentActs; // at most 4 entries
+    /** Ring of the last (up to) four activates; once full, `next`
+     *  is the oldest, the one tFAW measures from. */
+    std::array<Tick, 4> recentActs{};
+    unsigned next = 0;
+    unsigned count = 0;
     Tick lastAct = 0;
 };
 
@@ -39,9 +42,17 @@ class Channel
 {
   public:
     Channel(const DramParams &params, StatGroup *stats)
-        : params_(params), stats_(stats),
+        : params_(params),
           ranks_(params.ranksPerChannel,
-                 std::vector<Bank>(params.banksPerRank))
+                 std::vector<Bank>(params.banksPerRank)),
+          rowHits_(stats->counter("rowHits")),
+          rowMisses_(stats->counter("rowMisses")),
+          rowConflicts_(stats->counter("rowConflicts")),
+          activates_(stats->counter("activates")),
+          readBursts_(stats->counter("readBursts")),
+          bytesRead_(stats->counter("bytesRead")),
+          writeBursts_(stats->counter("writeBursts")),
+          bytesWritten_(stats->counter("bytesWritten"))
     {
         rankState_.resize(params.ranksPerChannel);
     }
@@ -62,15 +73,15 @@ class Channel
             bank.classify(static_cast<std::int64_t>(coord.row));
         switch (outcome) {
           case RowBufferOutcome::Hit:
-            stats_->inc("rowHits");
+            ++rowHits_;
             break;
           case RowBufferOutcome::Conflict:
-            stats_->inc("rowConflicts");
+            ++rowConflicts_;
             bank.precharge(params_, std::max(t, bank.preReady));
             [[fallthrough]];
           case RowBufferOutcome::Miss:
             if (outcome == RowBufferOutcome::Miss)
-                stats_->inc("rowMisses");
+                ++rowMisses_;
             activate(bank, rank, coord.row, t);
             break;
         }
@@ -85,9 +96,8 @@ class Channel
             bank.columnRead(params_, cas);
             busFree_ = cas + params_.tCAS + params_.burstTime();
             completion = busFree_;
-            stats_->inc("readBursts");
-            stats_->inc("bytesRead",
-                        static_cast<double>(params_.burstBytes));
+            ++readBursts_;
+            bytesRead_ += static_cast<double>(params_.burstBytes);
         } else {
             Tick cas = std::max(t, bank.writeReady);
             if (busFree_ > cas + params_.tCWD)
@@ -95,15 +105,18 @@ class Channel
             bank.columnWrite(params_, cas);
             busFree_ = cas + params_.tCWD + params_.burstTime();
             completion = busFree_;
-            stats_->inc("writeBursts");
-            stats_->inc("bytesWritten",
-                        static_cast<double>(params_.burstBytes));
+            ++writeBursts_;
+            bytesWritten_ += static_cast<double>(params_.burstBytes);
         }
         lastCompletion_ = std::max(lastCompletion_, completion);
         return completion;
     }
 
     Tick lastCompletion() const { return lastCompletion_; }
+
+    /** State of one bank (for tests). */
+    const Bank &bank(unsigned rank, unsigned bank) const
+    { return ranks_[rank][bank]; }
 
     /** Return every bank to the idle, all-timers-expired state. */
     void
@@ -124,27 +137,25 @@ class Channel
     {
         Tick act = std::max(t, bank.actReady);
         act = std::max(act, rank.lastAct + params_.tRRD);
-        while (rank.recentActs.size() >= 4) {
-            act = std::max(act, rank.recentActs.front() + params_.tFAW);
-            if (rank.recentActs.front() + params_.tFAW <= act)
-                rank.recentActs.pop_front();
-            else
-                break;
-        }
+        if (rank.count == rank.recentActs.size())
+            act = std::max(act, rank.recentActs[rank.next] + params_.tFAW);
+        else
+            ++rank.count;
         bank.activate(params_, static_cast<std::int64_t>(row), act);
         rank.lastAct = act;
-        rank.recentActs.push_back(act);
-        if (rank.recentActs.size() > 4)
-            rank.recentActs.pop_front();
-        stats_->inc("activates");
+        rank.recentActs[rank.next] = act;
+        rank.next = (rank.next + 1) % rank.recentActs.size();
+        ++activates_;
     }
 
     DramParams params_;
-    StatGroup *stats_;
     std::vector<std::vector<Bank>> ranks_;
     std::vector<RankState> rankState_;
     Tick busFree_ = 0;
     Tick lastCompletion_ = 0;
+    // Handles into the owning system's StatGroup, resolved once.
+    StatCounter rowHits_, rowMisses_, rowConflicts_, activates_;
+    StatCounter readBursts_, bytesRead_, writeBursts_, bytesWritten_;
 };
 
 } // namespace rime::memsim

@@ -16,6 +16,23 @@ BaselinePerfModel::BaselinePerfModel(const cpusim::CoreParams &cores,
           memsim::DramParams::inPackageHbm()))
 {}
 
+double
+BaselinePerfModel::idleLatencyNs(SystemKind system)
+{
+    // probeIdleLatencyNs resets the system to idle before its chain,
+    // so the result depends only on the system: probe it once.
+    const int idx = system == SystemKind::OffChipDdr4 ? 0 : 1;
+    if (idleLatencyNs_[idx] == 0.0) {
+        memsim::DramSystem &mem = idx == 0 ? *ddr4_ : *hbm_;
+        // Dependent-chain latency; the closed-loop probe's average
+        // includes unbounded queueing and is not what a core's miss
+        // chain experiences.
+        idleLatencyNs_[idx] =
+            std::max(memsim::probeIdleLatencyNs(mem, 2000), 20.0);
+    }
+    return idleLatencyNs_[idx];
+}
+
 cpusim::MemoryEnvironment
 BaselinePerfModel::rawEnvironment(SystemKind system,
                                   memsim::AccessPattern pattern,
@@ -36,14 +53,9 @@ BaselinePerfModel::rawEnvironment(SystemKind system,
     } else {
         memsim::DramSystem &mem =
             system == SystemKind::OffChipDdr4 ? *ddr4_ : *hbm_;
-        const auto probe = memsim::probeBandwidth(
-            mem, pattern, probeRequests_, 0.75, streams);
-        env.sustainedGBps = probe.sustainedGBps;
-        // Dependent-chain latency; the closed-loop probe's average
-        // includes unbounded queueing and is not what a core's miss
-        // chain experiences.
-        env.loadedLatencyNs = std::max(
-            memsim::probeIdleLatencyNs(mem, 2000), 20.0);
+        env.sustainedGBps = memsim::probeBandwidth(
+            mem, pattern, probeRequests_, 0.75, streams).sustainedGBps;
+        env.loadedLatencyNs = idleLatencyNs(system);
     }
     cache_.emplace(key, env);
     return env;
@@ -54,22 +66,23 @@ BaselinePerfModel::environment(SystemKind system,
                                memsim::AccessPattern pattern,
                                unsigned streams)
 {
-    cpusim::MemoryEnvironment env =
-        rawEnvironment(system, pattern, streams);
     if (!calibration_.enabled || system == SystemKind::Unlimited)
-        return env;
+        return rawEnvironment(system, pattern, streams);
 
     // Anchor to the paper's measured sustained bandwidth, scaled by
-    // the Figure-1(c) growth with the number of active streams.
+    // the Figure-1(c) growth with the number of active streams.  No
+    // bandwidth probe runs: the anchor replaces its only output.
     const int sys_idx = system == SystemKind::OffChipDdr4 ? 0 : 1;
     const int pat_idx = static_cast<int>(pattern);
     const double anchor =
         calibration_.anchorGBps[sys_idx][pat_idx];
     const double s = std::min<double>(std::max(streams, 1u), 64) /
         64.0;
+    cpusim::MemoryEnvironment env;
     env.sustainedGBps = anchor *
         (calibration_.coreFloor + (1.0 - calibration_.coreFloor) * s);
-    env.loadedLatencyNs *= calibration_.latencyScale;
+    env.loadedLatencyNs =
+        idleLatencyNs(system) * calibration_.latencyScale;
     return env;
 }
 

@@ -1,10 +1,10 @@
 /**
  * @file
  * Baseline performance model: combines measured below-cache traffic
- * (cachesim via the instrumented workloads), measured sustained
- * bandwidth (memsim probes), and the multicore execution-time model
- * (cpusim) into throughput numbers for the paper's three baseline
- * memory systems.
+ * (cachesim via the instrumented workloads), sustained bandwidth
+ * (the calibration anchors, or memsim probes), and the multicore
+ * execution-time model (cpusim) into throughput numbers for the
+ * paper's three baseline memory systems.
  */
 
 #ifndef RIME_PERFMODEL_BASELINE_HH
@@ -37,7 +37,9 @@ namespace rime::perfmodel
  * per-pattern anchor table fitted once to Figures 1(c) and 2, scaled
  * by the Figure-1(c) core-count growth curve; the per-core effective
  * instruction rate is anchored to the unlimited-bandwidth curve.
- * The raw (uncalibrated) probe results remain available and are
+ * Calibrated pricing therefore runs no bandwidth probe; it probes
+ * only the idle latency, once per system.  The raw (uncalibrated)
+ * probe results remain available through rawEnvironment() and are
  * printed by the benches for transparency.  Set `enabled = false`
  * to run the pure first-principles model.
  */
@@ -59,7 +61,12 @@ struct BaselineCalibration
     double latencyScale = 4.0;
 };
 
-/** Cached-probe baseline performance model. */
+/**
+ * Baseline performance model over memsim probes.  Bandwidth probes
+ * run only when rawEnvironment() is asked for (directly, or by
+ * environment() with calibration off) and are cached per tuple; the
+ * idle-latency probe runs once per system.
+ */
 class BaselinePerfModel
 {
   public:
@@ -73,15 +80,22 @@ class BaselinePerfModel
      * Memory environment (sustained bandwidth + loaded latency) of a
      * system under a given access pattern and parallelism.
      *
+     * With calibration on, this is the anchor formula plus the
+     * system's idle latency and runs no bandwidth probe; otherwise it
+     * is rawEnvironment().
+     *
      * @param streams concurrent request streams (roughly the active
-     *                core count); probes are cached per tuple
+     *                core count)
      */
     cpusim::MemoryEnvironment environment(SystemKind system,
                                           memsim::AccessPattern
                                               pattern,
                                           unsigned streams);
 
-    /** The raw (uncalibrated) probe result, for reporting. */
+    /**
+     * The raw (uncalibrated) probe result, for reporting: the only
+     * path that runs bandwidth probes, each cached per tuple.
+     */
     cpusim::MemoryEnvironment rawEnvironment(SystemKind system,
                                              memsim::AccessPattern
                                                  pattern,
@@ -124,6 +138,9 @@ class BaselinePerfModel
     const cpusim::MulticoreModel &model() const { return model_; }
 
   private:
+    /** Dependent-chain read latency of a DRAM system, probed once. */
+    double idleLatencyNs(SystemKind system);
+
     cpusim::MulticoreModel model_;
     std::uint64_t probeRequests_;
     BaselineCalibration calibration_;
@@ -131,6 +148,8 @@ class BaselinePerfModel
     std::unique_ptr<memsim::DramSystem> hbm_;
     std::map<std::tuple<int, int, unsigned>,
              cpusim::MemoryEnvironment> cache_;
+    /** [DDR4, HBM]; 0 until probed. */
+    double idleLatencyNs_[2] = {0.0, 0.0};
 };
 
 } // namespace rime::perfmodel

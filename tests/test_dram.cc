@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests of the DDR4/HBM timing model: address-map bijectivity, bank
- * timing-window invariants, row-buffer outcome classification, and
+ * and rank (tRRD/tFAW) timing-window invariants, row-buffer outcome
+ * classification, channel counters across a reset, and
  * sanity of the measured sustained bandwidths (sequential beats
  * random, HBM beats DDR4, nothing exceeds the pin bandwidth).
  */
@@ -10,6 +11,7 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "common/rng.hh"
 #include "memsim/bandwidth_probe.hh"
@@ -81,6 +83,123 @@ TEST(Bank, TimingWindows)
     bank.precharge(p, bank.preReady);
     EXPECT_EQ(bank.classify(5), RowBufferOutcome::Miss);
     EXPECT_GE(bank.actReady, bank.preReady + p.tRP);
+}
+
+TEST(Channel, ActivatesHonourTrrdAndTfaw)
+{
+    // Back-to-back activates to distinct banks of one rank: tRRD
+    // spaces each pair, and the rolling four-activate window holds
+    // every fifth activate to tFAW after the one four before it.
+    const DramParams p = DramParams::offChipDdr4();
+    ASSERT_GE(p.banksPerRank, 8u);
+    ASSERT_LT(4 * p.tRRD, p.tFAW);
+    StatGroup stats("ddr4");
+    Channel ch(p, &stats);
+    std::vector<Tick> acts;
+    for (unsigned b = 0; b < 8; ++b) {
+        DramCoord c;
+        c.bank = b;
+        c.row = 1;
+        ch.access(c, AccessType::Read, 0);
+        acts.push_back(ch.bank(0, b).lastAct);
+    }
+    for (std::size_t i = 1; i < acts.size(); ++i)
+        EXPECT_GE(acts[i], acts[i - 1] + p.tRRD) << i;
+    for (std::size_t i = 4; i < acts.size(); ++i)
+        EXPECT_GE(acts[i], acts[i - 4] + p.tFAW) << i;
+    // Four tRRD gaps are shorter than tFAW, so the window, measured
+    // from the oldest of the last four, sets the fifth exactly.
+    EXPECT_EQ(acts[4], acts[0] + p.tFAW);
+    EXPECT_EQ(stats.get("activates"), 8.0);
+
+    // Another rank has its own window: no tFAW wait.
+    DramCoord other;
+    other.rank = 1;
+    other.row = 1;
+    ch.access(other, AccessType::Read, 0);
+    EXPECT_LT(ch.bank(1, 0).lastAct, acts[4]);
+}
+
+namespace
+{
+
+/** Byte address of a channel/bank/row/column under RoRaBaCoCh, rank 0. */
+Addr
+addrOf(const DramParams &p, unsigned channel, unsigned bank,
+       std::uint64_t row, std::uint64_t column)
+{
+    const std::uint64_t block =
+        ((row * p.ranksPerChannel * p.banksPerRank + bank) *
+             p.columnsPerRow() + column) * p.channels + channel;
+    return block * p.burstBytes;
+}
+
+constexpr const char *kChannelCounters[] = {
+    "rowHits", "rowMisses", "rowConflicts", "activates",
+    "readBursts", "bytesRead", "writeBursts", "bytesWritten"};
+
+} // namespace
+
+TEST(DramSystem, ScriptedMixCountsAndResets)
+{
+    DramSystem mem(DramParams::offChipDdr4());
+    const DramParams &p = mem.params();
+    const StatGroup &stats = mem.stats();
+    // Every counter exists, at zero, before the first request.
+    for (const char *name : kChannelCounters) {
+        EXPECT_TRUE(stats.has(name)) << name;
+        EXPECT_EQ(stats.get(name), 0.0) << name;
+    }
+
+    struct Step
+    {
+        unsigned channel, bank;
+        std::uint64_t row, column;
+        AccessType type;
+    };
+    const Step script[] = {
+        {0, 0, 1, 0, AccessType::Read},  // miss, activate
+        {0, 0, 1, 1, AccessType::Read},  // hit
+        {0, 0, 1, 2, AccessType::Write}, // hit
+        {0, 0, 2, 0, AccessType::Read},  // conflict, activate
+        {0, 1, 5, 0, AccessType::Write}, // miss, activate
+        {0, 1, 5, 3, AccessType::Write}, // hit
+        {0, 1, 6, 0, AccessType::Read},  // conflict, activate
+        {1, 0, 1, 0, AccessType::Read},  // miss on channel 1, activate
+    };
+    Tick now = 0;
+    for (const Step &s : script) {
+        const Addr addr = addrOf(p, s.channel, s.bank, s.row, s.column);
+        const DramCoord c = mem.addressMap().decode(addr);
+        ASSERT_EQ(c.channel, s.channel);
+        ASSERT_EQ(c.bank, s.bank);
+        ASSERT_EQ(c.row, s.row);
+        ASSERT_EQ(c.column, s.column);
+        now = mem.access({addr, s.type, 0}, now);
+    }
+    EXPECT_EQ(stats.get("rowHits"), 3.0);
+    EXPECT_EQ(stats.get("rowMisses"), 3.0);
+    EXPECT_EQ(stats.get("rowConflicts"), 2.0);
+    EXPECT_EQ(stats.get("activates"), 5.0);
+    EXPECT_EQ(stats.get("readBursts"), 5.0);
+    EXPECT_EQ(stats.get("bytesRead"), 5.0 * p.burstBytes);
+    EXPECT_EQ(stats.get("writeBursts"), 3.0);
+    EXPECT_EQ(stats.get("bytesWritten"), 3.0 * p.burstBytes);
+
+    mem.resetStats();
+    for (const char *name : kChannelCounters) {
+        EXPECT_TRUE(stats.has(name)) << name;
+        EXPECT_EQ(stats.get(name), 0.0) << name;
+    }
+
+    // The channels' counter handles still feed the group: the banks
+    // are idle again, so the first row of the script misses anew.
+    mem.access({addrOf(p, 0, 0, 1, 0), AccessType::Read, 0}, 0);
+    EXPECT_EQ(stats.get("rowMisses"), 1.0);
+    EXPECT_EQ(stats.get("activates"), 1.0);
+    EXPECT_EQ(stats.get("readBursts"), 1.0);
+    EXPECT_EQ(stats.get("bytesRead"), 1.0 * p.burstBytes);
+    EXPECT_EQ(stats.get("rowHits"), 0.0);
 }
 
 TEST(DramSystem, RowHitsAreFasterThanConflicts)

@@ -3,10 +3,13 @@
  * Tests of the multicore execution-time model, the baseline
  * performance model, and the paper's qualitative performance claims:
  * radixsort wins with unlimited bandwidth, quicksort wins on real
- * memories (Figure 2), and HBM beats DDR4.
+ * memories (Figure 2), and HBM beats DDR4; calibrated pricing
+ * equals the anchored probe and runs no bandwidth probe.
  */
 
 #include <gtest/gtest.h>
+
+#include <chrono>
 
 #include "perfmodel/baseline.hh"
 
@@ -82,7 +85,7 @@ TEST(BaselinePerf, EnvironmentsAreCachedAndOrdered)
         16);
     EXPECT_GT(ddr_seq.sustainedGBps, ddr_rnd.sustainedGBps);
     EXPECT_GT(hbm_seq.sustainedGBps, ddr_seq.sustainedGBps);
-    // Second lookup hits the cache (same value).
+    // A second lookup returns the same value.
     const auto again = model.environment(
         SystemKind::OffChipDdr4, memsim::AccessPattern::Sequential,
         16);
@@ -147,4 +150,92 @@ TEST(BaselinePerf, ThroughputDropsWithDataSize)
         sorts, sort::Algorithm::Mergesort, 64ULL << 20, 64,
         SystemKind::OffChipDdr4);
     EXPECT_GT(small, large);
+}
+
+namespace
+{
+
+constexpr SystemKind kDramSystems[] = {SystemKind::OffChipDdr4,
+                                       SystemKind::InPackageHbm};
+constexpr memsim::AccessPattern kPatterns[] = {
+    memsim::AccessPattern::Sequential, memsim::AccessPattern::Random,
+    memsim::AccessPattern::StridedConflict};
+constexpr unsigned kStreams[] = {1, 2, 8, 16, 64};
+
+} // namespace
+
+TEST(BaselinePerf, CalibratedEnvironmentMatchesProbeThenAnchor)
+{
+    // The calibrated environment used to be the raw probe with its
+    // bandwidth overwritten by the anchor curve and its latency scaled.
+    // Rebuild that reference from rawEnvironment() and require the
+    // calibrated path to reproduce it exactly.  The probe budget only
+    // moves the bandwidth the anchor discards, so the reference model
+    // uses a small one.
+    BaselinePerfModel calibrated;
+    BaselinePerfModel probed(CoreParams{}, 4096);
+    BaselineCalibration off;
+    off.enabled = false;
+    BaselinePerfModel pure(CoreParams{}, 4096, off);
+    const BaselineCalibration &cal = calibrated.calibration();
+    for (const auto system : kDramSystems) {
+        const int sys = system == SystemKind::OffChipDdr4 ? 0 : 1;
+        for (const auto pattern : kPatterns) {
+            for (const unsigned streams : kStreams) {
+                const auto raw =
+                    probed.rawEnvironment(system, pattern, streams);
+                MemoryEnvironment want = raw;
+                want.sustainedGBps =
+                    cal.anchorGBps[sys][static_cast<int>(pattern)] *
+                    (cal.coreFloor + (1.0 - cal.coreFloor) *
+                         (static_cast<double>(streams) / 64.0));
+                want.loadedLatencyNs *= cal.latencyScale;
+                const auto got =
+                    calibrated.environment(system, pattern, streams);
+                EXPECT_EQ(got.sustainedGBps, want.sustainedGBps)
+                    << sys << "/" << static_cast<int>(pattern) << "/"
+                    << streams;
+                EXPECT_EQ(got.loadedLatencyNs, want.loadedLatencyNs)
+                    << sys << "/" << static_cast<int>(pattern) << "/"
+                    << streams;
+
+                // With calibration off, environment() is the probe.
+                const auto bare =
+                    pure.environment(system, pattern, streams);
+                EXPECT_EQ(bare.sustainedGBps, raw.sustainedGBps);
+                EXPECT_EQ(bare.loadedLatencyNs, raw.loadedLatencyNs);
+            }
+        }
+    }
+}
+
+TEST(BaselinePerf, CalibratedPricingRunsNoBandwidthProbe)
+{
+    // A probe budget no test could finish: calibrated pricing must
+    // never start a bandwidth probe, only the per-system idle-latency
+    // chain.
+    const auto start = std::chrono::steady_clock::now();
+    BaselinePerfModel model(CoreParams{}, 1ULL << 40);
+    WorkloadProfile w;
+    w.instructions = 1e9;
+    w.memReads = 1e7;
+    w.memWrites = 1e6;
+    for (const auto system : {SystemKind::OffChipDdr4,
+                              SystemKind::InPackageHbm,
+                              SystemKind::Unlimited}) {
+        for (const auto pattern : kPatterns) {
+            for (unsigned streams = 1; streams <= 64; ++streams) {
+                const auto env =
+                    model.environment(system, pattern, streams);
+                EXPECT_GT(env.sustainedGBps, 0.0);
+                EXPECT_GT(env.loadedLatencyNs, 0.0);
+                EXPECT_GT(model.estimate(w, pattern, system, streams)
+                              .totalSeconds,
+                          0.0);
+            }
+        }
+    }
+    const double seconds = std::chrono::duration<double>(
+        std::chrono::steady_clock::now() - start).count();
+    EXPECT_LT(seconds, 0.5);
 }
