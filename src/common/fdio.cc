@@ -5,6 +5,7 @@
 #include <climits>
 
 #include <fcntl.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 namespace rime
@@ -14,7 +15,6 @@ namespace fdio_detail
 {
 
 WriteFn writeShim = &::write;
-WritevFn writevShim = &::writev;
 
 } // namespace fdio_detail
 
@@ -40,7 +40,7 @@ writeFully(int fd, const void *data, std::size_t size)
 }
 
 bool
-writevFully(int fd, struct iovec *iov, int iovcnt)
+sendFully(int fd, struct iovec *iov, int iovcnt)
 {
     int at = 0;
     while (at < iovcnt) {
@@ -50,11 +50,13 @@ writevFully(int fd, struct iovec *iov, int iovcnt)
             ++at;
             continue;
         }
-        // Chunk the vector to what one writev accepts; the outer loop
-        // resumes with the rest.
-        const int take_cnt =
-            std::min(iovcnt - at, static_cast<int>(IOV_MAX));
-        ssize_t n = fdio_detail::writevShim(fd, iov + at, take_cnt);
+        // Chunk the vector to what one sendmsg accepts; the outer
+        // loop resumes with the rest.
+        struct msghdr mh{};
+        mh.msg_iov = iov + at;
+        mh.msg_iovlen = static_cast<decltype(mh.msg_iovlen)>(
+            std::min(iovcnt - at, static_cast<int>(IOV_MAX)));
+        ssize_t n = ::sendmsg(fd, &mh, MSG_NOSIGNAL);
         if (n < 0) {
             if (errno == EINTR)
                 continue;

@@ -38,11 +38,6 @@ namespace fdio_detail
 using WriteFn = ssize_t (*)(int fd, const void *buf, std::size_t len);
 extern WriteFn writeShim;
 
-/** Overridable writev(2) entry point (same contract as writeShim). */
-using WritevFn = ssize_t (*)(int fd, const struct iovec *iov,
-                             int iovcnt);
-extern WritevFn writevShim;
-
 } // namespace fdio_detail
 
 /**
@@ -54,14 +49,17 @@ extern WritevFn writevShim;
 bool writeFully(int fd, const void *data, std::size_t size);
 
 /**
- * Scatter-gather variant of writeFully: ship every byte described by
- * `iov[0..iovcnt)` with as few writev(2) calls as the kernel allows,
- * resuming short writes (including ones that end mid-buffer) and
- * retrying EINTR.  The iovec array is consumed and may be mutated;
- * callers rebuild it per call.  Returns true when every byte landed;
- * false on a real error (errno preserved).
+ * Scatter-gather socket send: ship every byte described by
+ * `iov[0..iovcnt)` with as few sendmsg(2) calls as the kernel allows,
+ * resuming short sends (including ones that end mid-buffer) and
+ * retrying EINTR.  Sends carry MSG_NOSIGNAL, so a peer that has
+ * closed the connection fails the call with EPIPE instead of killing
+ * the process with SIGPIPE.  The iovec array is consumed and may be
+ * mutated; callers rebuild it per call.  Returns true when every byte
+ * landed; false on a real error (errno preserved).  `fd` must be a
+ * socket.
  */
-bool writevFully(int fd, struct iovec *iov, int iovcnt);
+bool sendFully(int fd, struct iovec *iov, int iovcnt);
 
 /**
  * fsync the directory containing `path` (so a rename or create inside

@@ -166,6 +166,8 @@ TraceSpan::arg(const char *key, double value)
 void
 TraceSpan::arg(const char *key, bool value)
 {
+    if (!tracer_)
+        return;
     append(key, value ? "true" : "false");
 }
 

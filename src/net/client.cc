@@ -137,8 +137,9 @@ RimeClient::sendMessage(const wire::Message &msg)
     }
     std::vector<std::uint8_t> framed;
     wire::encodeMessage(framed, msg);
+    struct iovec iov{framed.data(), framed.size()};
     std::lock_guard<std::mutex> lock(sendMutex_);
-    return writeFully(fd, framed.data(), framed.size());
+    return sendFully(fd, &iov, 1);
 }
 
 std::future<Response>
@@ -267,8 +268,7 @@ RimeClient::submitBatch(std::uint64_t session,
     bool sent;
     {
         std::lock_guard<std::mutex> lock(sendMutex_);
-        sent = writevFully(fd, iov.data(),
-                           static_cast<int>(iov.size()));
+        sent = sendFully(fd, iov.data(), static_cast<int>(iov.size()));
     }
     if (!sent) {
         // Withdraw whichever waiters the reader has not already

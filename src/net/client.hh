@@ -156,7 +156,7 @@ class RimeClient
     /**
      * Pipeline several requests on `session` with one socket write:
      * every frame is encoded back to back and shipped with a single
-     * writeFully, so the server's reader sees (and hands the shard)
+     * sendFully, so the server's reader sees (and hands the shard)
      * the whole burst at once.  Returns one future per request in
      * request order; `notify` (optional) is installed on each, with
      * submit(notify)'s semantics.  On a dead connection or send

@@ -12,12 +12,18 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
+#include <vector>
 
 namespace rime::rimehw
 {
 
-/** Write-wear tracker at block granularity. */
+/**
+ * Write-wear tracker at block granularity.  Both rank backends record
+ * every value store here, so the per-block counts live in a flat
+ * vector indexed by block number, grown on demand to the highest
+ * block written (backends write only inside their chip's capacity),
+ * with a running count of the blocks touched.
+ */
 class EnduranceTracker
 {
   public:
@@ -32,8 +38,12 @@ class EnduranceTracker
         const std::uint64_t first = byte_offset / blockBytes_;
         const std::uint64_t last =
             (byte_offset + (bytes ? bytes : 1) - 1) / blockBytes_;
+        if (last >= writes_.size())
+            writes_.resize(last + 1, 0);
         for (std::uint64_t b = first; b <= last; ++b) {
             const std::uint64_t n = ++writes_[b];
+            if (n == 1)
+                ++touchedBlocks_;
             maxWrites_ = std::max(maxWrites_, n);
             ++totalWrites_;
         }
@@ -41,7 +51,7 @@ class EnduranceTracker
 
     std::uint64_t totalWrites() const { return totalWrites_; }
     std::uint64_t maxBlockWrites() const { return maxWrites_; }
-    std::uint64_t touchedBlocks() const { return writes_.size(); }
+    std::uint64_t touchedBlocks() const { return touchedBlocks_; }
 
     /** Block index covering a byte offset. */
     std::uint64_t blockOf(std::uint64_t byte_offset) const
@@ -51,8 +61,8 @@ class EnduranceTracker
     std::uint64_t
     blockWrites(std::uint64_t byte_offset) const
     {
-        auto it = writes_.find(blockOf(byte_offset));
-        return it == writes_.end() ? 0 : it->second;
+        const std::uint64_t b = blockOf(byte_offset);
+        return b < writes_.size() ? writes_[b] : 0;
     }
 
     /**
@@ -79,13 +89,16 @@ class EnduranceTracker
     reset()
     {
         writes_.clear();
+        touchedBlocks_ = 0;
         maxWrites_ = 0;
         totalWrites_ = 0;
     }
 
   private:
     std::uint64_t blockBytes_;
-    std::unordered_map<std::uint64_t, std::uint64_t> writes_;
+    /** Writes per block, indexed by block number. */
+    std::vector<std::uint64_t> writes_;
+    std::uint64_t touchedBlocks_ = 0;
     std::uint64_t maxWrites_ = 0;
     std::uint64_t totalWrites_ = 0;
 };

@@ -1,12 +1,70 @@
 #include "fast_model.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
 
 namespace rime::rimehw
 {
+
+namespace
+{
+
+/**
+ * Stable LSD radix sort of entries by their encoded key, 8-bit digits
+ * over the low `bits` bits.  A digit every key shares moves nothing
+ * and is skipped.
+ *
+ * The ping-pong buffer is one per thread, reused by every build: one
+ * per chip would hold a copy of each chip's largest range, and one
+ * allocated per call makes the allocator hand heap pages back and
+ * fault them in again for whatever runs next.
+ */
+template <typename Entry>
+void
+radixSortByKey(std::vector<Entry> &v, unsigned bits)
+{
+    const std::size_t n = v.size();
+    if (n < 2)
+        return;
+    const unsigned digits = (bits + 7) / 8;
+    std::array<std::array<std::size_t, 256>, 8> count;
+    for (unsigned d = 0; d < digits; ++d)
+        count[d].fill(0);
+    for (const Entry &e : v) {
+        for (unsigned d = 0; d < digits; ++d)
+            ++count[d][(e.first >> (8 * d)) & 0xFF];
+    }
+    thread_local std::vector<Entry> scratch;
+    Entry *src = v.data();
+    Entry *dst = nullptr;
+    for (unsigned d = 0; d < digits; ++d) {
+        const unsigned shift = 8 * d;
+        std::array<std::size_t, 256> &offset = count[d];
+        if (offset[(src[0].first >> shift) & 0xFF] == n)
+            continue;
+        if (!dst) {
+            if (scratch.size() < n)
+                scratch.resize(n);
+            dst = scratch.data();
+        }
+        std::size_t sum = 0;
+        for (std::size_t &c : offset) {
+            const std::size_t here = c;
+            c = sum;
+            sum += here;
+        }
+        for (std::size_t i = 0; i < n; ++i)
+            dst[offset[(src[i].first >> shift) & 0xFF]++] = src[i];
+        std::swap(src, dst);
+    }
+    if (src != v.data())
+        std::copy(src, src + n, v.data());
+}
+
+} // namespace
 
 FastRime::FastRime(const RimeGeometry &geometry,
                    const RimeTimingParams &timing)
@@ -117,10 +175,7 @@ FastRime::applyLiveWrite(std::uint64_t index,
         }
         // Retire the value the operation knew at this row.
         const Entry old_entry{old_encoded, index};
-        if (auto it = state.overlay.find(old_entry);
-            it != state.overlay.end()) {
-            state.overlay.erase(it);
-        } else {
+        if (!state.overlay.erase(old_entry)) {
             const auto pos = std::lower_bound(state.order.begin(),
                                               state.order.end(),
                                               old_entry);
@@ -182,7 +237,7 @@ FastRime::buildOrder(const RangeKey &key, OpState &state)
     state.order.reserve(n);
     for (std::uint64_t i = key.first; i < key.second; ++i)
         state.order.emplace_back(encoded(i), i);
-    std::sort(state.order.begin(), state.order.end());
+    radixSortByKey(state.order, k_);
     state.taken.assign(state.order.size(), 0);
     state.excluded.assign(n, 0);
     state.overlay.clear();
@@ -237,10 +292,7 @@ FastRime::exclude(std::uint64_t begin, std::uint64_t end,
     }
     if (!retired) {
         const Entry entry{encoded(index), index};
-        if (auto it = state.overlay.find(entry);
-            it != state.overlay.end()) {
-            state.overlay.erase(it);
-        } else {
+        if (!state.overlay.erase(entry)) {
             const auto pos = std::lower_bound(state.order.begin(),
                                               state.order.end(),
                                               entry);
@@ -305,7 +357,7 @@ FastRime::scan(std::uint64_t begin, std::uint64_t end, bool find_max)
         const bool have_ovl = !state.overlay.empty();
         const Entry vec_head = have_vec ? state.order[state.lo]
                                         : Entry{~0ULL, ~0ULL};
-        const Entry ovl_head = have_ovl ? *state.overlay.begin()
+        const Entry ovl_head = have_ovl ? state.overlay.front()
                                         : Entry{~0ULL, ~0ULL};
         const bool from_vec = have_vec &&
             (!have_ovl || vec_head < ovl_head);
@@ -325,9 +377,7 @@ FastRime::scan(std::uint64_t begin, std::uint64_t end, bool find_max)
                 if (have_ovl && ovl_head < runner)
                     runner = ovl_head;
             } else {
-                auto it = std::next(state.overlay.begin());
-                if (it != state.overlay.end())
-                    runner = *it;
+                state.overlay.second(runner);
                 if (have_vec && vec_head < runner)
                     runner = vec_head;
             }
@@ -349,7 +399,7 @@ FastRime::scan(std::uint64_t begin, std::uint64_t end, bool find_max)
     const std::uint64_t vec_max =
         have_vec ? state.order[state.hi - 1].first : 0;
     const std::uint64_t ovl_max =
-        have_ovl ? state.overlay.rbegin()->first : 0;
+        have_ovl ? state.overlay.back().first : 0;
     const std::uint64_t emax = std::max(have_vec ? vec_max : 0,
                                         have_ovl ? ovl_max : 0);
 
@@ -374,22 +424,20 @@ FastRime::scan(std::uint64_t begin, std::uint64_t end, bool find_max)
         }
     }
     // Lowest-index tie member in the overlay.
-    auto ovl_it = state.overlay.end();
-    if (have_ovl && ovl_max == emax) {
-        ovl_it = state.overlay.lower_bound(Entry{emax, 0});
-        tie_count += static_cast<std::size_t>(
-            std::distance(ovl_it, state.overlay.end()));
-    }
+    const bool ovl_winner_valid = have_ovl && ovl_max == emax;
+    Entry ovl_winner{};
+    if (ovl_winner_valid)
+        tie_count += state.overlay.topRun(ovl_winner);
 
     const bool from_vec = vec_winner_valid &&
-        (ovl_it == state.overlay.end() ||
-         state.order[vec_winner_pos].second < ovl_it->second);
+        (!ovl_winner_valid ||
+         state.order[vec_winner_pos].second < ovl_winner.second);
     const Entry winner = from_vec ? state.order[vec_winner_pos]
-                                  : *ovl_it;
+                                  : ovl_winner;
 
-    unsigned steps = 0;
-    if (state.remaining > 1)
-        steps = tie_count > 1 ? k_ : k_; // provisional; refined below
+    // A tied maximum runs all k steps; a unique one stops one step
+    // past its common prefix with the runner-up.
+    unsigned steps = state.remaining > 1 ? k_ : 0;
     if (state.remaining > 1 && tie_count <= 1) {
         // Unique maximum: the runner-up is the largest remaining
         // value below emax in either structure.
@@ -411,14 +459,11 @@ FastRime::scan(std::uint64_t begin, std::uint64_t end, bool find_max)
                 }
             }
         }
-        if (have_ovl) {
-            auto below = state.overlay.lower_bound(Entry{emax, 0});
-            if (below != state.overlay.begin()) {
-                const std::uint64_t cand = std::prev(below)->first;
-                if (!found_runner || cand > runner_enc) {
-                    runner_enc = cand;
-                    found_runner = true;
-                }
+        Entry below{};
+        if (have_ovl && state.overlay.predecessor(Entry{emax, 0}, below)) {
+            if (!found_runner || below.first > runner_enc) {
+                runner_enc = below.first;
+                found_runner = true;
             }
         }
         if (found_runner) {
@@ -429,8 +474,6 @@ FastRime::scan(std::uint64_t begin, std::uint64_t end, bool find_max)
             panic("max extraction: remaining > 1 but no runner-up");
         }
     }
-    if (state.remaining == 1)
-        steps = 0;
 
     return scanResult(state, winner, steps);
 }

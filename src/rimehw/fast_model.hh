@@ -16,12 +16,16 @@
  *     leading-bit prefix of the encoded keys, 0 steps when only one
  *     value remains, and k when the winner is tied.
  *
- * An active range is kept as a sorted vector (the values present at
- * rime_init) plus an ordered overlay of values written afterwards
- * (ordinary stores into a live range, as the strict-priority-queue
- * workload performs).  A store to an already-extracted row stays
- * invisible until the next rime_init, matching the exclusion-latch
- * behaviour of the hardware.
+ * An active range is kept in flat arrays: a sorted vector of the
+ * values present at rime_init, built by a stable LSD radix sort of the
+ * encoded keys (the input is in index order, so the result is in
+ * (encoded, index) order), plus an overlay of values written
+ * afterwards (ordinary stores into a live range, as the
+ * strict-priority-queue workload performs).  The overlay is a
+ * ChunkedSet: a sorted set stored as contiguous chunks of at most 128
+ * entries, found by a binary search over the chunk tails.  A store to
+ * an already-extracted row stays invisible until the next rime_init,
+ * matching the exclusion-latch behaviour of the hardware.
  *
  * Timing and energy are charged with exactly the same formulas as
  * RimeChip, so the two models produce identical statistics.
@@ -32,11 +36,11 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
 #include "rimehw/backend.hh"
+#include "rimehw/chunked_set.hh"
 
 namespace rime::rimehw
 {
@@ -76,18 +80,27 @@ class FastRime : public RankBackend
   private:
     using RangeKey = std::pair<std::uint64_t, std::uint64_t>;
     /** (encoded key, value index): the scan order. */
-    using Entry = std::pair<std::uint64_t, std::uint64_t>;
+    using Entry = ChunkedSet::Entry;
 
     /** State of one active operation range. */
     struct OpState
     {
-        /** Entries present at init, sorted by (encoded, index). */
+        /**
+         * Entries present at init, sorted by (encoded, index).  An
+         * entry is retired in place (taken) when its value is
+         * extracted or overwritten; lo/hi bound the window that may
+         * still hold untaken entries.
+         */
         std::vector<Entry> order;
         std::vector<std::uint8_t> taken; ///< per order position
         std::size_t lo = 0;
         std::size_t hi = 0;
-        /** Values stored into the live range after init. */
-        std::set<Entry> overlay;
+        /**
+         * Values stored into the live range after init, keyed like
+         * `order`; an overlay entry is erased when extracted or
+         * overwritten again.
+         */
+        ChunkedSet overlay;
         /** Exclusion latches, indexed by (index - range begin). */
         std::vector<std::uint8_t> excluded;
         std::uint64_t remaining = 0;

@@ -134,7 +134,7 @@ struct Message
 
 /**
  * Append one complete frame carrying `msg` to `out` -- ready to hand
- * to writeFully().  Messages can be batched back-to-back in one
+ * to sendFully().  Messages can be batched back-to-back in one
  * buffer (request pipelining is one write).
  */
 void encodeMessage(std::vector<std::uint8_t> &out, const Message &msg);

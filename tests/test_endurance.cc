@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <map>
+
+#include "common/rng.hh"
 
 #include "rimehw/endurance.hh"
 
+using namespace rime;
 using namespace rime::rimehw;
 
 TEST(Endurance, CountsWritesPerBlock)
@@ -111,4 +117,51 @@ TEST(Endurance, BlockOfMapsOffsetsToBlocks)
     EXPECT_EQ(tracker.blockOf(511), 0u);
     EXPECT_EQ(tracker.blockOf(512), 1u);
     EXPECT_EQ(tracker.blockOf(5 * 512 + 17), 5u);
+}
+
+TEST(Endurance, RandomWritesMatchAMapReference)
+{
+    // Random offsets and lengths, many spanning block boundaries,
+    // against a std::map of per-block counts -- before and after a
+    // reset.
+    constexpr std::uint64_t kBlock = 512;
+    EnduranceTracker tracker(kBlock);
+    Rng rng(2024);
+    for (int round = 0; round < 2; ++round) {
+        SCOPED_TRACE(round == 0 ? "fresh" : "after reset");
+        std::map<std::uint64_t, std::uint64_t> ref;
+        std::uint64_t total = 0;
+        for (int i = 0; i < 5000; ++i) {
+            const std::uint64_t offset = rng.below(64 * kBlock);
+            const std::uint64_t bytes = rng.below(8) == 0
+                ? rng.below(4 * kBlock) : rng.below(16);
+            tracker.recordWrite(offset, bytes);
+            const std::uint64_t last =
+                (offset + std::max<std::uint64_t>(bytes, 1) - 1) / kBlock;
+            for (std::uint64_t b = offset / kBlock; b <= last; ++b) {
+                ++ref[b];
+                ++total;
+            }
+        }
+        std::uint64_t hottest = 0;
+        for (const auto &[block, writes] : ref)
+            hottest = std::max(hottest, writes);
+        EXPECT_EQ(tracker.touchedBlocks(), ref.size());
+        EXPECT_EQ(tracker.maxBlockWrites(), hottest);
+        EXPECT_EQ(tracker.totalWrites(), total);
+        // Every block up to past the highest one written, at its
+        // first, middle and last byte.
+        for (std::uint64_t b = 0; b < 72; ++b) {
+            const auto it = ref.find(b);
+            const std::uint64_t want = it == ref.end() ? 0 : it->second;
+            for (const std::uint64_t at :
+                 {std::uint64_t{0}, kBlock / 2, kBlock - 1})
+                EXPECT_EQ(tracker.blockWrites(b * kBlock + at), want) << b;
+        }
+        tracker.reset();
+        EXPECT_EQ(tracker.touchedBlocks(), 0u);
+        EXPECT_EQ(tracker.maxBlockWrites(), 0u);
+        EXPECT_EQ(tracker.totalWrites(), 0u);
+        EXPECT_EQ(tracker.blockWrites(0), 0u);
+    }
 }

@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <vector>
 
 #include "common/rng.hh"
 #include "rimehw/chip.hh"
+#include "rimehw/chunked_set.hh"
 #include "rimehw/fast_model.hh"
 
 using namespace rime;
@@ -237,6 +239,264 @@ TEST(Equivalence, LargeNFullSortIdentical)
         EXPECT_DOUBLE_EQ(chip.stats().get(stat), fast.stats().get(stat))
             << stat;
     }
+}
+
+namespace
+{
+
+/** A geometry with room for 4096 32-bit values in 64-row arrays. */
+RimeGeometry
+wideGeometry()
+{
+    RimeGeometry g;
+    g.chipsPerChannel = 1;
+    g.banksPerChip = 4;
+    g.subbanksPerBank = 8;
+    g.arraysPerMat = 2;
+    g.arrayRows = 64;
+    g.arrayCols = 64;
+    return g;
+}
+
+/** Every counter FastRime keeps, plus wear, agrees with RimeChip. */
+void
+expectSameStats(const RimeChip &chip, const FastRime &fast)
+{
+    for (const auto &[name, value] : fast.stats().values())
+        EXPECT_DOUBLE_EQ(chip.stats().get(name), value) << name;
+    EXPECT_EQ(chip.endurance().totalWrites(),
+              fast.endurance().totalWrites());
+    EXPECT_EQ(chip.endurance().touchedBlocks(),
+              fast.endurance().touchedBlocks());
+    EXPECT_EQ(chip.endurance().maxBlockWrites(),
+              fast.endurance().maxBlockWrites());
+}
+
+class LargeOverlay : public ::testing::TestWithParam<unsigned>
+{};
+
+} // namespace
+
+TEST_P(LargeOverlay, MixedExtractionsMatchBitLevel)
+{
+    // One 2048-value range takes thousands of live stores between
+    // extractions, so the overlay spans many chunks: chunks split on
+    // insert, drain from both ends under mixed min/max extraction,
+    // and empty out; periodic re-inits rebuild the order.  At k=8 the
+    // keys take 32 values, so tie runs are longer than a chunk.
+    const unsigned k = GetParam();
+    RimeChip chip(wideGeometry());
+    FastRime fast(wideGeometry());
+    chip.configure(k, KeyMode::UnsignedFixed);
+    fast.configure(k, KeyMode::UnsignedFixed);
+    const std::uint64_t n = 2048;
+    ASSERT_GE(chip.valueCapacity(), n);
+
+    Rng rng(4100 + k);
+    const std::uint64_t mask = k == 8 ? 0x1F : (1ULL << k) - 1;
+    auto put = [&](std::uint64_t idx, std::uint64_t raw) {
+        chip.writeValue(idx, raw);
+        fast.writeValue(idx, raw);
+    };
+    for (std::uint64_t i = 0; i < n; ++i)
+        put(i, rng() & mask);
+    chip.initRange(0, n);
+    fast.initRange(0, n);
+
+    std::uint64_t stores = 0;
+    for (unsigned phase = 0; stores < 8192; ++phase) {
+        const unsigned burst = 200 + static_cast<unsigned>(
+            rng.below(1400));
+        for (unsigned i = 0; i < burst; ++i, ++stores)
+            put(rng.below(n), rng() & mask);
+        const unsigned pulls = static_cast<unsigned>(rng.below(700));
+        for (unsigned i = 0; i < pulls; ++i) {
+            const bool find_max = rng.below(2) == 0;
+            expectSameResult(chip.extract(0, n, find_max),
+                             fast.extract(0, n, find_max),
+                             find_max ? "max" : "min");
+            if (::testing::Test::HasFailure())
+                return;
+        }
+        ASSERT_EQ(chip.remainingInRange(0, n),
+                  fast.remainingInRange(0, n));
+        if (phase % 3 == 2) {
+            chip.initRange(0, n);
+            fast.initRange(0, n);
+        }
+    }
+    // Drain what is left from alternating ends.
+    for (std::uint64_t i = 0; i <= n; ++i) {
+        const bool find_max = i % 2 == 1;
+        expectSameResult(chip.extract(0, n, find_max),
+                         fast.extract(0, n, find_max), "drain");
+        if (::testing::Test::HasFailure())
+            return;
+    }
+    expectSameStats(chip, fast);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DenseAndSparseKeys, LargeOverlay, ::testing::Values(8u, 32u),
+    [](const auto &info) { return "K" + std::to_string(info.param); });
+
+TEST(Equivalence, PriorityQueuePatternMatchesBitLevel)
+{
+    // The strict-priority-queue workload: a range pre-filled with the
+    // sentinel (the maximum key), armed once, then r ordinary stores
+    // into fresh slots per rime_min removal, so the live queue sits
+    // entirely in the overlay.
+    constexpr std::uint64_t kSentinel = 0xFFFFFFFFULL;
+    constexpr std::uint64_t kSlots = 4096;
+    constexpr std::uint64_t kPrefill = 512;
+    for (unsigned r = 1; r <= 5; ++r) {
+        SCOPED_TRACE("adds per remove " + std::to_string(r));
+        RimeChip chip(wideGeometry());
+        FastRime fast(wideGeometry());
+        chip.configure(32, KeyMode::UnsignedFixed);
+        fast.configure(32, KeyMode::UnsignedFixed);
+        ASSERT_GE(chip.valueCapacity(), kSlots);
+        for (std::uint64_t i = 0; i < kSlots; ++i) {
+            chip.writeValue(i, kSentinel);
+            fast.writeValue(i, kSentinel);
+        }
+        chip.initRange(0, kSlots);
+        fast.initRange(0, kSlots);
+
+        Rng rng(77 + r);
+        std::uint64_t next = 0;
+        std::multiset<std::uint64_t> live; // reference queue
+        auto push = [&] {
+            // A narrow key range, so equal priorities are common.
+            const std::uint64_t key = rng() & 0xFFFF;
+            chip.writeValue(next, key);
+            fast.writeValue(next, key);
+            live.insert(key);
+            ++next;
+        };
+        while (next < kPrefill)
+            push();
+        std::uint64_t removed = 0;
+        for (;;) {
+            for (unsigned i = 0; i < r && next < kSlots; ++i)
+                push();
+            const ExtractResult a = chip.extract(0, kSlots, false);
+            const ExtractResult b = fast.extract(0, kSlots, false);
+            expectSameResult(a, b, "pop");
+            if (::testing::Test::HasFailure())
+                return;
+            if (!a.found || a.raw == kSentinel)
+                break;
+            ASSERT_FALSE(live.empty());
+            ASSERT_EQ(a.raw, *live.begin());
+            live.erase(live.begin());
+            ++removed;
+        }
+        EXPECT_EQ(removed, kSlots);
+        EXPECT_TRUE(live.empty());
+        expectSameStats(chip, fast);
+    }
+}
+
+TEST(ChunkedSet, MatchesStdSetThroughGrowthAndDrain)
+{
+    // Grow to thousands of entries (every chunk splits), drain to
+    // empty from both ends and the middle (chunks fold and vanish),
+    // and grow again; every query must agree with std::set.  A key
+    // range of 16 makes tie runs far longer than a chunk.
+    using Entry = ChunkedSet::Entry;
+    for (const std::uint64_t keys : {16ULL, 1ULL << 32}) {
+        SCOPED_TRACE("key range " + std::to_string(keys));
+        ChunkedSet set;
+        std::set<Entry> ref;
+        Rng rng(keys);
+        std::uint64_t next_index = 0;
+        auto check = [&] {
+            ASSERT_EQ(set.size(), ref.size());
+            ASSERT_EQ(set.empty(), ref.empty());
+            Entry got{};
+            if (ref.empty())
+                return;
+            ASSERT_EQ(set.front(), *ref.begin());
+            ASSERT_EQ(set.back(), *ref.rbegin());
+            ASSERT_EQ(set.second(got), ref.size() > 1);
+            if (ref.size() > 1) {
+                ASSERT_EQ(got, *std::next(ref.begin()));
+            }
+            const std::uint64_t top = ref.rbegin()->first;
+            const auto run = ref.lower_bound(Entry{top, 0});
+            ASSERT_EQ(set.topRun(got),
+                      static_cast<std::size_t>(
+                          std::distance(run, ref.end())));
+            ASSERT_EQ(got, *run);
+            for (const Entry &probe :
+                 {Entry{top, 0}, Entry{rng.below(keys), rng.below(
+                      next_index + 1)}}) {
+                const auto below = ref.lower_bound(probe);
+                ASSERT_EQ(set.predecessor(probe, got),
+                          below != ref.begin());
+                if (below != ref.begin()) {
+                    ASSERT_EQ(got, *std::prev(below));
+                }
+            }
+        };
+        for (const std::size_t target : {3000, 0, 1500, 200, 2500, 0}) {
+            while (ref.size() != target) {
+                if (ref.size() < target) {
+                    const Entry e{rng.below(keys), next_index++};
+                    set.insert(e);
+                    ref.insert(e);
+                } else {
+                    // Erase the min, the max or a random member; now
+                    // and then ask for an entry that was never added.
+                    Entry e;
+                    switch (rng.below(4)) {
+                      case 0:
+                        e = *ref.begin();
+                        break;
+                      case 1:
+                        e = *ref.rbegin();
+                        break;
+                      case 2: {
+                        const auto it =
+                            ref.lower_bound(Entry{rng.below(keys), 0});
+                        e = it == ref.end() ? *ref.rbegin() : *it;
+                        break;
+                      }
+                      default:
+                        e = Entry{rng.below(keys), next_index};
+                        break;
+                    }
+                    ASSERT_EQ(set.erase(e), ref.erase(e) == 1);
+                }
+                check();
+                if (::testing::Test::HasFatalFailure())
+                    return;
+            }
+        }
+    }
+}
+
+TEST(ChunkedSet, SecondSmallestInTheNextChunk)
+{
+    // Ascending inserts fill a 64-entry chunk and a full one behind
+    // it; erasing the front down to one entry cannot fold it into the
+    // full neighbour, so the second-smallest entry is the head of the
+    // next chunk.
+    using Entry = ChunkedSet::Entry;
+    const std::uint64_t n = ChunkedSet::kChunk + ChunkedSet::kChunk / 2;
+    ChunkedSet set;
+    for (std::uint64_t i = 0; i < n; ++i)
+        set.insert(Entry{i, i});
+    for (std::uint64_t i = 0; i + 1 < ChunkedSet::kChunk / 2; ++i)
+        ASSERT_TRUE(set.erase(Entry{i, i}));
+    const std::uint64_t head = ChunkedSet::kChunk / 2 - 1;
+    EXPECT_EQ(set.front(), (Entry{head, head}));
+    Entry got{};
+    ASSERT_TRUE(set.second(got));
+    EXPECT_EQ(got, (Entry{head + 1, head + 1}));
+    ASSERT_TRUE(set.predecessor(Entry{head + 1, 0}, got));
+    EXPECT_EQ(got, (Entry{head, head}));
 }
 
 TEST(FastRime, StoreToExcludedRowStaysInvisible)

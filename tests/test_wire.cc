@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -796,6 +797,67 @@ TEST(WireClient, ReconnectAfterServerRestart)
 
     client.disconnect();
     server2.stop();
+}
+
+TEST(WireClient, SubmitToClosedPeerFailsWithoutSigpipe)
+{
+    // A stub server completes the handshake and then shuts down its
+    // read side.  The client's reader sees no EOF, so the connection
+    // still looks alive, and the next send meets a peer that refuses
+    // data (EPIPE).  Sent without MSG_NOSIGNAL it would raise SIGPIPE,
+    // whose default action kills the process.
+    TempDir tmp;
+    const std::string endpoint = "unix:" + tmp.dir + "/stub.sock";
+    Endpoint ep;
+    ASSERT_TRUE(parseEndpoint(endpoint, ep));
+    const int listen_fd = listenSocket(ep);
+    ASSERT_GE(listen_fd, 0);
+    int peer = -1;
+    std::thread stub([&] {
+        struct pollfd pfd{listen_fd, POLLIN, 0};
+        if (::poll(&pfd, 1, 5000) != 1)
+            return;
+        const int fd = acceptSocket(listen_fd);
+        if (fd < 0 || !setNonBlocking(fd, false))
+            return;
+        std::vector<std::uint8_t> payload;
+        wire::Message hello;
+        if (readOneFrame(fd, payload) != FrameStatus::Ok ||
+            !wire::decodeMessage(payload, hello)) {
+            ::close(fd);
+            return;
+        }
+        wire::Message welcome;
+        welcome.kind = wire::MessageKind::Welcome;
+        welcome.corrId = hello.corrId;
+        welcome.magic = wire::kWireMagic;
+        welcome.version = wire::kWireVersion;
+        welcome.shards = 1;
+        std::vector<std::uint8_t> framed;
+        wire::encodeMessage(framed, welcome);
+        EXPECT_TRUE(writeFully(fd, framed.data(), framed.size()));
+        EXPECT_EQ(::shutdown(fd, SHUT_RD), 0);
+        peer = fd;
+    });
+
+    RimeClient client({.endpoint = endpoint,
+                       .connectTimeoutMs = 2000,
+                       .connectAttempts = 1});
+    const bool connected = client.connect();
+    stub.join();
+    ASSERT_TRUE(connected);
+    ASSERT_GE(peer, 0);
+
+    Request r;
+    r.kind = RequestKind::Health;
+    EXPECT_EQ(client.submit(1, r).get().status, ServiceStatus::Closed);
+    for (auto &f : client.submitBatch(1, {r, r}))
+        EXPECT_EQ(f.get().status, ServiceStatus::Closed);
+    EXPECT_EQ(client.transportErrors(), 3u);
+
+    client.disconnect();
+    ::close(peer);
+    ::close(listen_fd);
 }
 
 TEST(WireClient, ConnectToNothingFailsAfterBoundedBackoff)
