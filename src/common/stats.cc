@@ -1,6 +1,7 @@
 #include "stats.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <iomanip>
 
@@ -35,11 +36,15 @@ isHostDependentStat(const std::string &stat)
 int
 StatHistogram::bucketOf(double value)
 {
+    if (!std::isfinite(value))
+        return kNonFiniteBucket;
     if (!(value >= 1.0))
         return 0;
-    // ilogb is exact on the binary exponent, so bucket boundaries are
-    // deterministic (no log() rounding at powers of two).
-    return std::ilogb(value) + 1;
+    // A value >= 1 is normal with a clear sign bit, so its biased
+    // exponent field is exactly ilogb(value) + 1023: bucket boundaries
+    // are deterministic (no log() rounding at powers of two).
+    return static_cast<int>(std::bit_cast<std::uint64_t>(value) >> 52) -
+        1022;
 }
 
 std::pair<double, double>
@@ -48,23 +53,6 @@ StatHistogram::bucketBounds(int b)
     if (b <= 0)
         return {0.0, 1.0};
     return {std::ldexp(1.0, b - 1), std::ldexp(1.0, b)};
-}
-
-void
-StatHistogram::record(double value, std::uint64_t weight)
-{
-    if (weight == 0)
-        return;
-    if (count_ == 0) {
-        min_ = value;
-        max_ = value;
-    } else {
-        min_ = std::min(min_, value);
-        max_ = std::max(max_, value);
-    }
-    count_ += weight;
-    sum_ += value * static_cast<double>(weight);
-    buckets_[bucketOf(value)] += weight;
 }
 
 void
@@ -81,8 +69,10 @@ StatHistogram::merge(const StatHistogram &other)
     }
     count_ += other.count_;
     sum_ += other.sum_;
-    for (const auto &kv : other.buckets_)
-        buckets_[kv.first] += kv.second;
+    if (other.buckets_.size() > buckets_.size())
+        buckets_.resize(other.buckets_.size());
+    for (std::size_t b = 0; b < other.buckets_.size(); ++b)
+        buckets_[b] += other.buckets_[b];
 }
 
 void
@@ -92,7 +82,19 @@ StatHistogram::reset()
     sum_ = 0.0;
     min_ = 0.0;
     max_ = 0.0;
+    // Keeps the capacity: re-recording after a reset allocates nothing.
     buckets_.clear();
+}
+
+std::map<int, std::uint64_t>
+StatHistogram::buckets() const
+{
+    std::map<int, std::uint64_t> occupied;
+    for (std::size_t b = 0; b < buckets_.size(); ++b) {
+        if (buckets_[b] != 0)
+            occupied.emplace(static_cast<int>(b), buckets_[b]);
+    }
+    return occupied;
 }
 
 void

@@ -6,7 +6,11 @@
  *
  * Beyond scalars, a StatGroup can hold log2-bucketed histograms
  * (per-extraction latency, repair-event batch sizes, survivor
- * distributions).  All recording happens on the controller thread of a
+ * distributions).  A histogram keeps its buckets in one dense array
+ * indexed by bucket number, so a sample costs one array increment;
+ * hot paths reach their histograms through a handle cached on first
+ * use (StatGroup::cachedHist) rather than a string-keyed lookup per
+ * sample.  All recording happens on the controller thread of a
  * simulation, so stat content is deterministic for any RIME_SIMD
  * value; wall-clock measurements use the reserved "*WallNs" name
  * suffix, which deterministic dumps (StatRegistry::dumpJson) exclude.
@@ -27,6 +31,7 @@
 #include <ostream>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace rime
 {
@@ -42,13 +47,41 @@ bool isHostDependentStat(const std::string &stat);
 
 /**
  * A log2-bucketed distribution: bucket 0 holds values below 1, bucket
- * b >= 1 holds [2^(b-1), 2^b).  Exact count/sum/min/max ride along.
- * Designed for non-negative quantities (latencies, counts, energies).
+ * b >= 1 holds [2^(b-1), 2^b), up to b = 1024 for the largest finite
+ * doubles.  Non-finite samples (infinities, NaN) share one top bucket,
+ * kNonFiniteBucket.  Exact count/sum/min/max ride along.  Designed for
+ * non-negative quantities (latencies, counts, energies).
+ *
+ * Counts live in a dense array indexed by bucket number, grown on
+ * demand to the highest bucket seen and so never longer than
+ * kNonFiniteBucket + 1 entries.
  */
 class StatHistogram
 {
   public:
-    void record(double value, std::uint64_t weight = 1);
+    /** Bucket of every infinite or NaN sample (the top bucket). */
+    static constexpr int kNonFiniteBucket = 1025;
+
+    /** Add `weight` samples of `value`; weight 0 is a no-op. */
+    void
+    record(double value, std::uint64_t weight = 1)
+    {
+        if (weight == 0)
+            return;
+        if (count_ == 0) {
+            min_ = value;
+            max_ = value;
+        } else {
+            min_ = value < min_ ? value : min_;
+            max_ = max_ < value ? value : max_;
+        }
+        count_ += weight;
+        sum_ += value * static_cast<double>(weight);
+        const auto b = static_cast<std::size_t>(bucketOf(value));
+        if (b >= buckets_.size())
+            buckets_.resize(b + 1);
+        buckets_[b] += weight;
+    }
 
     /** Merge another histogram's samples into this one. */
     void merge(const StatHistogram &other);
@@ -68,14 +101,20 @@ class StatHistogram
         return count_ ? sum_ / static_cast<double>(count_) : 0.0;
     }
 
-    /** Occupied buckets: bucket index -> sample count. */
-    const std::map<int, std::uint64_t> &buckets() const
-    { return buckets_; }
+    /**
+     * Occupied buckets: bucket index -> sample count, in ascending
+     * bucket order.  Built on each call from the dense array (a dump
+     * and test accessor, not a hot-path one).
+     */
+    std::map<int, std::uint64_t> buckets() const;
 
     /** Bucket index holding `value`. */
     static int bucketOf(double value);
 
-    /** [lo, hi) value range of bucket `b`. */
+    /**
+     * [lo, hi) value range of bucket `b`; the non-finite bucket
+     * reads [inf, inf).
+     */
     static std::pair<double, double> bucketBounds(int b);
 
   private:
@@ -83,7 +122,8 @@ class StatHistogram
     double sum_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
-    std::map<int, std::uint64_t> buckets_;
+    /** Sample count per bucket index; at most kNonFiniteBucket + 1. */
+    std::vector<std::uint64_t> buckets_;
 };
 
 /**
@@ -176,6 +216,24 @@ class StatGroup
     hist(const std::string &stat)
     {
         return hists_[stat];
+    }
+
+    /**
+     * The named histogram through a caller-held handle: the first call
+     * resolves `handle` (one map lookup, creating the histogram), later
+     * calls return *handle without touching the name.  Resolving on
+     * first use rather than up front keeps dump key sets as hist()
+     * leaves them: a histogram appears only once it has been used.
+     * Histograms live in std::map nodes, so the handle stays valid
+     * across reset(), merge(), further insertions and moves of the
+     * group; only destroying the group invalidates it.
+     */
+    StatHistogram &
+    cachedHist(StatHistogram *&handle, const char *stat)
+    {
+        if (!handle)
+            handle = &hists_[stat];
+        return *handle;
     }
 
     /** True if the named histogram exists. */

@@ -135,8 +135,6 @@ Tracer::global()
 void
 TraceSpan::append(const char *key, const std::string &value)
 {
-    if (!tracer_)
-        return;
     if (!args_.empty())
         args_ += ", ";
     args_ += "\"";
@@ -146,36 +144,28 @@ TraceSpan::append(const char *key, const std::string &value)
 }
 
 void
-TraceSpan::arg(const char *key, std::uint64_t value)
+TraceSpan::format(const char *key, std::uint64_t value)
 {
-    if (!tracer_)
-        return;
     append(key, std::to_string(value));
 }
 
 void
-TraceSpan::arg(const char *key, double value)
+TraceSpan::format(const char *key, double value)
 {
-    if (!tracer_)
-        return;
     char buf[40];
     std::snprintf(buf, sizeof(buf), "%.17g", value);
     append(key, buf);
 }
 
 void
-TraceSpan::arg(const char *key, bool value)
+TraceSpan::format(const char *key, bool value)
 {
-    if (!tracer_)
-        return;
     append(key, value ? "true" : "false");
 }
 
 void
-TraceSpan::arg(const char *key, const char *value)
+TraceSpan::format(const char *key, const char *value)
 {
-    if (!tracer_)
-        return;
     append(key, "\"" + std::string(value) + "\"");
 }
 

@@ -4,9 +4,10 @@
  * (chrome://tracing, https://ui.perfetto.dev).
  *
  * Enabled by setting RIME_TRACE=<file>; with the variable unset every
- * trace point compiles down to one predictable branch on a cached
- * bool, so instrumented hot paths (the per-step scan phases) stay
- * within noise of the un-instrumented build.
+ * trace point, span args included, compiles down to one predictable
+ * inline branch on a cached bool or pointer, so instrumented hot paths
+ * (the per-step scan phases) stay within noise of the un-instrumented
+ * build.
  *
  * Determinism: trace points are only placed in controller-thread code,
  * and event arguments carry only simulation-deterministic values, so
@@ -86,7 +87,9 @@ class Tracer
 
 /**
  * RAII trace span: one complete event covering the scope's lifetime.
- * Costs a single branch when the tracer is disabled.
+ * When the tracer is disabled, construction, every arg() and
+ * destruction each reduce to one inline branch on a null tracer
+ * pointer; no argument is formatted and no out-of-line call is made.
  */
 class TraceSpan
 {
@@ -113,10 +116,34 @@ class TraceSpan
     TraceSpan &operator=(const TraceSpan &) = delete;
 
     /** Attach a "key": value argument (before the scope ends). */
-    void arg(const char *key, std::uint64_t value);
-    void arg(const char *key, double value);
-    void arg(const char *key, bool value);
-    void arg(const char *key, const char *value);
+    void
+    arg(const char *key, std::uint64_t value)
+    {
+        if (tracer_)
+            format(key, value);
+    }
+
+    void
+    arg(const char *key, double value)
+    {
+        if (tracer_)
+            format(key, value);
+    }
+
+    void
+    arg(const char *key, bool value)
+    {
+        if (tracer_)
+            format(key, value);
+    }
+
+    void
+    arg(const char *key, const char *value)
+    {
+        if (tracer_)
+            format(key, value);
+    }
+
     void
     arg(const char *key, unsigned value)
     {
@@ -124,6 +151,11 @@ class TraceSpan
     }
 
   private:
+    /** Out-of-line formatters behind arg(); enabled spans only. */
+    void format(const char *key, std::uint64_t value);
+    void format(const char *key, double value);
+    void format(const char *key, bool value);
+    void format(const char *key, const char *value);
     void append(const char *key, const std::string &value);
 
     Tracer *const tracer_;

@@ -261,13 +261,9 @@ RimeLibrary::extractChecked(Addr start, Addr end, bool find_max)
     span.arg("ok", item.has_value());
     if (item) {
         // Per-extraction simulated latency: the per-rimeMin number the
-        // paper's figures are built from.  The histogram handle is
-        // map-node stable, so caching it once is safe.
-        if (!extractLatencyTicks_)
-            extractLatencyTicks_ =
-                &apiStats_.hist("extractLatencyTicks");
-        extractLatencyTicks_->record(
-            static_cast<double>(now_ - sim_start));
+        // paper's figures are built from.
+        apiStats_.cachedHist(extractLatencyTicks_, "extractLatencyTicks")
+            .record(static_cast<double>(now_ - sim_start));
         r.status = RimeStatus::Ok;
         r.item = *item;
         r.item.index *= wordBytes_; // report a byte address

@@ -181,7 +181,7 @@ RimeDriver::allocate(std::uint64_t bytes)
     allocations_[addr] = size;
     allocatedBytes_ += size;
     freed_.erase(addr);
-    stats_.hist("allocPages").record(
+    stats_.cachedHist(allocPages_, "allocPages").record(
         static_cast<double>(size / params_.pageBytes));
     span.arg("addr", addr);
     span.arg("pages", size / params_.pageBytes);

@@ -48,6 +48,10 @@ class RimeDriver
     RimeDriver(std::uint64_t region_bytes,
                const DriverParams &params = DriverParams{});
 
+    /** Not copyable: allocPages_ points into this driver's stats_. */
+    RimeDriver(const RimeDriver &) = delete;
+    RimeDriver &operator=(const RimeDriver &) = delete;
+
     /**
      * Allocate a physically contiguous extent of at least `bytes`
      * bytes (rounded up to pages).  Grows the reservation when needed.
@@ -130,6 +134,8 @@ class RimeDriver
     std::set<Addr> freed_;
 
     StatGroup stats_{"driver"};
+    /** Allocation-size histogram, resolved on the first allocation. */
+    StatHistogram *allocPages_ = nullptr;
 };
 
 } // namespace rime

@@ -496,7 +496,7 @@ RimeChip::runScanSteps(bool find_max, std::uint64_t survivors)
                 commit_span.arg("survivors", survivors);
                 // Survivor-set narrowing distribution, one sample per
                 // excluding step.
-                stats_.hist("scanSurvivors").record(
+                stats_.cachedHist(scanSurvivors_, "scanSurvivors").record(
                     static_cast<double>(survivors));
             }
             // No exclusion: the select latches -- and therefore the
@@ -548,9 +548,9 @@ RimeChip::scan(std::uint64_t begin, std::uint64_t end, bool find_max)
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             host_end - host_start).count());
     if (result.found) {
-        stats_.hist("scanStepsPerExtract")
+        stats_.cachedHist(scanStepsPerExtract_, "scanStepsPerExtract")
             .record(static_cast<double>(result.steps));
-        stats_.hist("scanLatencyTicks")
+        stats_.cachedHist(scanLatencyTicks_, "scanLatencyTicks")
             .record(static_cast<double>(result.time));
     }
     span.arg("begin", begin);

@@ -242,6 +242,14 @@ class RimeChip : public RankBackend
     StatCounter exclusions_;
     StatCounter busyTicks_;
     StatCounter scanWallNs_;
+    /**
+     * Cached handles to the scan histograms, resolved on their first
+     * sample (StatGroup::cachedHist) so that dump key sets still
+     * depend only on which samples occurred.
+     */
+    StatHistogram *scanSurvivors_ = nullptr;
+    StatHistogram *scanStepsPerExtract_ = nullptr;
+    StatHistogram *scanLatencyTicks_ = nullptr;
     EnduranceTracker endurance_;
 };
 

@@ -312,7 +312,7 @@ ShardController::drainInbox()
 {
     {
         std::lock_guard<std::mutex> lock(statsMutex_);
-        stats_.hist("queueDepthHost")
+        stats_.cachedHist(queueDepthHost_, "queueDepthHost")
             .record(static_cast<double>(inbox_.size()));
     }
     while (auto pending = inbox_.tryPop()) {
@@ -504,7 +504,7 @@ ShardController::serveHead(SessionState &s, unsigned budget)
     span.arg("session", s.id);
     span.arg("batch",
              static_cast<std::uint64_t>(batch.size()));
-    stats_.hist("batchSizeHost")
+    stats_.cachedHist(batchSizeHost_, "batchSizeHost")
         .record(static_cast<double>(batch.size()));
     for (auto &pending : batch)
         serveOne(s, pending);
@@ -515,7 +515,8 @@ void
 ShardController::serveOne(SessionState &s, Pending &pending)
 {
     const double queue_ns = hostNsSince(pending.enqueued);
-    stats_.hist("queueWallNsHost").record(queue_ns);
+    stats_.cachedHist(queueWallNsHost_, "queueWallNsHost")
+        .record(queue_ns);
 
     Response r;
     if (pending.req.deadline != 0 && lib_.now() >= pending.req.deadline) {
@@ -582,7 +583,7 @@ ShardController::flushBatchLocked()
         // timing, so the counters are Host-suffixed (excluded from
         // deterministic dumps).
         stats_.inc("groupCommitsHost");
-        stats_.hist("commitBatchOpsHost")
+        stats_.cachedHist(commitBatchOpsHost_, "commitBatchOpsHost")
             .record(static_cast<double>(deferred_.size()));
     }
     // Fulfil every future first, then fire the notifies.  A notify

@@ -474,6 +474,14 @@ class ShardController
      */
     mutable std::mutex statsMutex_;
     StatGroup stats_;
+    /**
+     * Handles to the per-request, per-batch and per-commit
+     * histograms, resolved on their first sample.
+     */
+    StatHistogram *queueDepthHost_ = nullptr;
+    StatHistogram *batchSizeHost_ = nullptr;
+    StatHistogram *queueWallNsHost_ = nullptr;
+    StatHistogram *commitBatchOpsHost_ = nullptr;
     std::thread controller_;
     bool stopped_ = false;
 };

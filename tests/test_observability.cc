@@ -10,11 +10,16 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iomanip>
+#include <limits>
+#include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/env.hh"
 #include "common/logging.hh"
@@ -219,6 +224,161 @@ readFile(const std::string &path)
     return os.str();
 }
 
+/**
+ * The histogram storage StatHistogram had before its flat bucket
+ * array: buckets in a std::map, the bucket of a finite value computed
+ * with std::ilogb.  The dump is StatGroup::dump's text for a group
+ * holding this one histogram.
+ */
+struct MapHistogram
+{
+    std::uint64_t count = 0;
+    double sum = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+    std::map<int, std::uint64_t> buckets;
+
+    static int
+    bucketOf(double value)
+    {
+        return value >= 1.0 ? std::ilogb(value) + 1 : 0;
+    }
+
+    void
+    record(double value, std::uint64_t weight)
+    {
+        if (weight == 0)
+            return;
+        if (count == 0) {
+            min = value;
+            max = value;
+        } else {
+            min = std::min(min, value);
+            max = std::max(max, value);
+        }
+        count += weight;
+        sum += value * static_cast<double>(weight);
+        buckets[bucketOf(value)] += weight;
+    }
+
+    void
+    merge(const MapHistogram &other)
+    {
+        if (other.count == 0)
+            return;
+        if (count == 0) {
+            min = other.min;
+            max = other.max;
+        } else {
+            min = std::min(min, other.min);
+            max = std::max(max, other.max);
+        }
+        count += other.count;
+        sum += other.sum;
+        for (const auto &kv : other.buckets)
+            buckets[kv.first] += kv.second;
+    }
+
+    void
+    reset()
+    {
+        *this = MapHistogram{};
+    }
+
+    std::string
+    dump(const std::string &path) const
+    {
+        std::ostringstream os;
+        os << std::setprecision(12);
+        os << path << ".count " << count << "\n";
+        if (count == 0)
+            return os.str();
+        os << path << ".mean " << sum / static_cast<double>(count) << "\n"
+           << path << ".min " << min << "\n"
+           << path << ".max " << max << "\n";
+        for (const auto &kv : buckets) {
+            const double lo = kv.first <= 0
+                ? 0.0 : std::ldexp(1.0, kv.first - 1);
+            const double hi = kv.first <= 0
+                ? 1.0 : std::ldexp(1.0, kv.first);
+            os << path << ".bucket[" << lo << "," << hi << ") "
+               << kv.second << "\n";
+        }
+        return os.str();
+    }
+};
+
+std::string
+dumpOf(const StatGroup &group)
+{
+    std::ostringstream os;
+    group.dump(os);
+    return os.str();
+}
+
+/**
+ * A random histogram sample no larger than 2^max_exp: zero, a value
+ * below 1, a power of two, a power of two's neighbour one ulp away,
+ * or a uniform value.
+ */
+double
+histogramSample(Rng &rng, int max_exp)
+{
+    const int e = static_cast<int>(rng() % (max_exp + 1));
+    const double p = std::ldexp(1.0, e);
+    switch (rng() % 6) {
+      case 0:
+        return 0.0;
+      case 1:
+        return rng.uniform();
+      case 2:
+        return p;
+      case 3:
+        return std::nextafter(p, 0.0);
+      case 4:
+        return e == max_exp ? p : std::nextafter(p, 2 * p);
+      default:
+        return p * (1.0 + rng.uniform());
+    }
+}
+
+/** A chip holding `n` random 32-bit values (a small geometry). */
+std::unique_ptr<rimehw::RimeChip>
+filledChip(std::uint64_t n)
+{
+    rimehw::RimeGeometry g;
+    g.banksPerChip = 4;
+    g.subbanksPerBank = 8;
+    auto chip = std::make_unique<rimehw::RimeChip>(g);
+    chip->configure(32, KeyMode::UnsignedFixed);
+    Rng rng(7);
+    for (std::uint64_t i = 0; i < n; ++i)
+        chip->writeValue(i, rng() & 0xFFFFFFFF);
+    return chip;
+}
+
+/** The deterministic JSON dump of one chip's stats. */
+std::string
+chipDumpJson(rimehw::RimeChip &chip)
+{
+    StatRegistry reg;
+    reg.attach("chip", chip.stats());
+    std::ostringstream os;
+    reg.dumpJson(os);
+    return os.str();
+}
+
+/** Number of non-overlapping occurrences of `needle` in `hay`. */
+std::size_t
+countOf(const std::string &hay, const std::string &needle)
+{
+    std::size_t n = 0;
+    for (auto pos = hay.find(needle); pos != std::string::npos;
+         pos = hay.find(needle, pos + needle.size()))
+        ++n;
+    return n;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -309,6 +469,97 @@ TEST(Histogram, GroupMergeAndResetCarryHistograms)
     a.reset();
     EXPECT_EQ(a.hist("lat").count(), 0u);
     EXPECT_DOUBLE_EQ(a.get("n"), 0.0);
+}
+
+TEST(Histogram, NonFiniteAndHugeSamplesHaveDefinedBuckets)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EQ(StatHistogram::bucketOf(inf), StatHistogram::kNonFiniteBucket);
+    EXPECT_EQ(StatHistogram::bucketOf(-inf),
+              StatHistogram::kNonFiniteBucket);
+    EXPECT_EQ(StatHistogram::bucketOf(nan), StatHistogram::kNonFiniteBucket);
+    EXPECT_EQ(StatHistogram::bucketOf(0.0), 0);
+    EXPECT_EQ(StatHistogram::bucketOf(-1.0), 0);
+    // Finite values keep their ilogb bucket, however large.
+    EXPECT_EQ(StatHistogram::bucketOf(1e300), std::ilogb(1e300) + 1);
+    EXPECT_EQ(StatHistogram::bucketOf(
+                  std::numeric_limits<double>::max()), 1024);
+    EXPECT_EQ(StatHistogram::bucketBounds(StatHistogram::kNonFiniteBucket),
+              (std::pair<double, double>{inf, inf}));
+
+    StatGroup g("g");
+    StatHistogram &h = g.hist("h");
+    h.record(inf);
+    h.record(1e300);
+    h.record(nan);
+    h.record(0.0);
+    h.record(inf, 2);
+    EXPECT_EQ(h.count(), 6u);
+    const auto buckets = h.buckets();
+    ASSERT_EQ(buckets.size(), 3u);
+    EXPECT_EQ(buckets.at(0), 1u);
+    EXPECT_EQ(buckets.at(std::ilogb(1e300) + 1), 1u);
+    EXPECT_EQ(buckets.at(StatHistogram::kNonFiniteBucket), 4u);
+    const std::string dump = dumpOf(g);
+    EXPECT_NE(dump.find("g.h.bucket[0,1) 1\n"), std::string::npos) << dump;
+    EXPECT_NE(dump.find("g.h.bucket[inf,inf) 4\n"), std::string::npos)
+        << dump;
+
+    // Merging histograms whose top buckets are the non-finite one.
+    StatHistogram m;
+    m.record(2.0);
+    m.merge(h);
+    EXPECT_EQ(m.buckets().at(StatHistogram::kNonFiniteBucket), 4u);
+    EXPECT_EQ(m.buckets().at(2), 1u);
+}
+
+TEST(Histogram, FlatBucketsMatchMapReference)
+{
+    Rng rng(2024);
+    for (int round = 0; round < 24; ++round) {
+        // Different highest buckets: `a` reaches 2^60, `b` stays low.
+        const int a_exp = 60;
+        const int b_exp = static_cast<int>(rng() % 12);
+        StatGroup ga("g");
+        StatGroup gb("g");
+        MapHistogram ra;
+        MapHistogram rb;
+        const auto fill = [&](StatGroup &g, MapHistogram &r, int max_exp,
+                              int n) {
+            for (int i = 0; i < n; ++i) {
+                const double v = histogramSample(rng, max_exp);
+                const std::uint64_t w = rng() % 4; // weight 0 included
+                g.hist("h").record(v, w);
+                r.record(v, w);
+            }
+        };
+        fill(ga, ra, a_exp, 1 + static_cast<int>(rng() % 300));
+        fill(gb, rb, b_exp, static_cast<int>(rng() % 40));
+        ASSERT_EQ(dumpOf(ga), ra.dump("g.h")) << "round " << round;
+        ASSERT_EQ(dumpOf(gb), rb.dump("g.h")) << "round " << round;
+
+        // Merge in both directions: into a longer bucket array, and
+        // into a shorter one that must grow.
+        StatGroup gc("g");
+        MapHistogram rc;
+        gc.hist("h").merge(gb.hist("h"));
+        rc.merge(rb);
+        gc.hist("h").merge(ga.hist("h"));
+        rc.merge(ra);
+        ga.hist("h").merge(gb.hist("h"));
+        ra.merge(rb);
+        ASSERT_EQ(dumpOf(ga), ra.dump("g.h")) << "round " << round;
+        ASSERT_EQ(dumpOf(gc), rc.dump("g.h")) << "round " << round;
+
+        // Reset, then re-record a smaller range than before.
+        ga.reset();
+        ra.reset();
+        ASSERT_EQ(dumpOf(ga), ra.dump("g.h"));
+        ASSERT_TRUE(ga.hist("h").buckets().empty());
+        fill(ga, ra, b_exp, static_cast<int>(rng() % 50));
+        ASSERT_EQ(dumpOf(ga), ra.dump("g.h")) << "round " << round;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -444,10 +695,70 @@ TEST(Trace, DisabledTracerCollectsNothing)
     {
         TraceSpan span(tracer, "chip", "scan");
         span.arg("steps", std::uint64_t{8});
+        span.arg("skew", 0.5);
+        span.arg("found", true);
+        span.arg("mode", "min");
+        span.arg("status", 3u);
     }
     tracer.instant("cat", "evt");
     tracer.counter("cat", "ctr", 1.0);
     EXPECT_EQ(tracer.eventCount(), 0u);
+}
+
+TEST(Trace, ChipExtractSpansKeepTheirArgs)
+{
+    // RimeChip traces through Tracer::global(), which reads RIME_TRACE
+    // once per process.  The "threadsafe" death-test style runs the
+    // statement in a freshly executed copy of this binary, so the
+    // global tracer there is configured after the setenv below.
+    const std::string path = "test_observability_chip_trace.json";
+    const std::uint64_t n = 2048;
+    std::remove(path.c_str());
+    const std::string style = ::testing::FLAGS_gtest_death_test_style;
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            setenv("RIME_TRACE", path.c_str(), 1);
+            auto chip = filledChip(n);
+            chip->initRange(0, n);
+            chip->extract(0, n, false);
+            std::exit(0); // the global tracer flushes at exit
+        },
+        ::testing::ExitedWithCode(0), "");
+    ::testing::FLAGS_gtest_death_test_style = style;
+
+    auto chip = filledChip(n);
+    chip->initRange(0, n);
+    const rimehw::ExtractResult r = chip->extract(0, n, false);
+    ASSERT_TRUE(r.found);
+    const std::uint64_t commits =
+        chip->stats().hist("scanSurvivors").count();
+
+    const std::string json = readFile(path);
+    std::remove(path.c_str());
+    ASSERT_TRUE(JsonValidator(json).valid()) << json;
+    EXPECT_NE(json.find("\"name\": \"initRange\", \"cat\": \"chip\""),
+              std::string::npos);
+    EXPECT_NE(json.find("\"args\": {\"begin\": 0, \"end\": 2048}"),
+              std::string::npos) << json;
+    // One scan event carrying every arg, one probe per step, one
+    // commit per excluding step.
+    EXPECT_EQ(countOf(json, "\"name\": \"scan\", \"cat\": \"chip\""),
+              1u);
+    EXPECT_NE(json.find("\"args\": {\"begin\": 0, \"end\": 2048, "
+                        "\"findMax\": false, \"found\": true, "
+                        "\"steps\": " + std::to_string(r.steps) +
+                        ", \"status\": 0}"),
+              std::string::npos) << json;
+    EXPECT_EQ(countOf(json, "\"name\": \"probe\""), r.steps);
+    EXPECT_EQ(countOf(json, "\"args\": {\"step\": "), r.steps + commits);
+    EXPECT_EQ(countOf(json, ", \"searchBit\": "), r.steps);
+    EXPECT_EQ(countOf(json, ", \"anyMatch\": "), r.steps);
+    EXPECT_EQ(countOf(json, ", \"anyMismatch\": "), r.steps);
+    ASSERT_GT(commits, 0u);
+    EXPECT_EQ(countOf(json, "\"name\": \"commit\""), commits);
+    EXPECT_EQ(countOf(json, ", \"survivors\": "), commits);
+    EXPECT_NE(json.find(", \"survivors\": 1}"), std::string::npos) << json;
 }
 
 // ---------------------------------------------------------------------
@@ -546,29 +857,42 @@ TEST(Library, RegistryTreeAndPublishOnce)
 
 TEST(Determinism, ChipStatDumpExcludesWallClock)
 {
-    rimehw::RimeGeometry g;
-    g.banksPerChip = 4;
-    g.subbanksPerBank = 8;
-    rimehw::RimeChip chip(g);
-    chip.configure(32, KeyMode::UnsignedFixed);
-    Rng rng(7);
     const std::uint64_t n = 2048;
-    for (std::uint64_t i = 0; i < n; ++i)
-        chip.writeValue(i, rng() & 0xFFFFFFFF);
-    chip.initRange(0, n);
+    auto chip = filledChip(n);
+    chip->initRange(0, n);
     for (int i = 0; i < 6; ++i) {
-        const auto r = chip.extract(0, n, false);
+        const auto r = chip->extract(0, n, false);
         EXPECT_TRUE(r.found);
     }
-    EXPECT_GT(chip.stats().get("scanWallNs"), 0.0);
-    StatRegistry reg;
-    reg.attach("chip", chip.stats());
-    std::ostringstream os;
-    reg.dumpJson(os);
-    const std::string dump = os.str();
+    EXPECT_GT(chip->stats().get("scanWallNs"), 0.0);
+    const std::string dump = chipDumpJson(*chip);
     EXPECT_TRUE(JsonValidator(dump).valid());
     // The wall-clock stat was recorded but must not appear.
     EXPECT_EQ(dump.find("WallNs"), std::string::npos);
     EXPECT_NE(dump.find("scanSurvivors"), std::string::npos);
     EXPECT_NE(dump.find("scanStepsPerExtract"), std::string::npos);
+}
+
+TEST(Determinism, ChipDumpAfterResetMatchesFreshChip)
+{
+    // The chip's cached histogram handles must keep feeding the
+    // group's histograms across StatGroup::reset().
+    const std::uint64_t n = 2048;
+    auto used = filledChip(n);
+    used->initRange(0, n);
+    for (int i = 0; i < 5; ++i)
+        ASSERT_TRUE(used->extract(0, n, false).found);
+    used->stats().reset();
+
+    auto fresh = filledChip(n);
+    fresh->stats().reset();
+
+    for (auto *chip : {used.get(), fresh.get()}) {
+        chip->initRange(0, n);
+        for (int i = 0; i < 7; ++i)
+            ASSERT_TRUE(chip->extract(0, n, i % 2 == 1).found);
+    }
+    EXPECT_EQ(used->stats().hist("scanStepsPerExtract").count(), 7u);
+    EXPECT_GT(used->stats().hist("scanSurvivors").count(), 0u);
+    EXPECT_EQ(chipDumpJson(*used), chipDumpJson(*fresh));
 }
